@@ -58,6 +58,24 @@ let run_quiet argv err_file =
   let _, status = Unix.waitpid [] pid in
   status
 
+(* OCaml reports signals by its own negative numbers (Sys.sigfpe is -3,
+   not 8); name the common ones the POSIX way. *)
+let signal_name s =
+  let names =
+    [
+      (Sys.sigfpe, "SIGFPE");
+      (Sys.sigsegv, "SIGSEGV");
+      (Sys.sigkill, "SIGKILL");
+      (Sys.sigabrt, "SIGABRT");
+      (Sys.sigbus, "SIGBUS");
+      (Sys.sigill, "SIGILL");
+      (Sys.sigpipe, "SIGPIPE");
+      (Sys.sigterm, "SIGTERM");
+      (Sys.sigint, "SIGINT");
+    ]
+  in
+  match List.assoc_opt s names with Some n -> n | None -> string_of_int s
+
 let first_lines ?(n = 5) file =
   match In_channel.with_open_text file In_channel.input_all with
   | "" -> "(no diagnostics)"
@@ -122,8 +140,8 @@ let compile ?workdir ?threads ?emit_survivors (plan : Plan.t) =
           errorf "%s exited with status %d compiling %s: %s" compiler n
             plan.Plan.space_name (first_lines err_tmp)
         | Unix.WSIGNALED s | Unix.WSTOPPED s ->
-          errorf "%s killed by signal %d compiling %s" compiler s
-            plan.Plan.space_name);
+          errorf "%s killed by signal %s compiling %s" compiler
+            (signal_name s) plan.Plan.space_name);
         (* Keep the source next to the binary for debugging cache
            entries; both renames are atomic within the workdir. *)
         Sys.rename src_tmp (exe ^ ".c");
@@ -135,20 +153,110 @@ let compile ?workdir ?threads ?emit_survivors (plan : Plan.t) =
 (* Parsing the subprocess's stats lines                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Derive steps flattened in nest order: replaying them against the
-   iterator values of a [hit] line rebuilds every slot, so the [on_hit]
-   callback sees the same lookup the in-process engines provide. *)
+(* Derive steps flattened in nest order into an array, each body staged
+   once: replaying them against the iterator values of a [hit] line
+   rebuilds every slot, so the [on_hit] callback sees the same lookup
+   the in-process engines provide. *)
 let derive_sequence (plan : Plan.t) =
   let rec go acc steps =
     List.fold_left
       (fun acc (step : Plan.step) ->
         match step with
-        | Plan.Derive { d_slot; d_compute; _ } -> (d_slot, d_compute) :: acc
+        | Plan.Derive { d_slot; d_compute = Plan.CE e; _ } ->
+          (d_slot, Plan.compile_cexpr e) :: acc
+        | Plan.Derive { d_slot; d_compute = Plan.CF f; _ } ->
+          (d_slot, f) :: acc
         | Plan.Loop { l_body; _ } -> go acc l_body
         | Plan.Check _ | Plan.Yield | Plan.Static_prune _ -> acc)
       acc steps
   in
-  List.rev (go [] plan.Plan.steps)
+  Array.of_list (List.rev (go [] plan.Plan.steps))
+
+let is_hit_line line =
+  String.starts_with ~prefix:"hit" line
+  && (String.length line = 3 || line.[3] = ' ')
+
+(* Values accumulate negatively, so min_int decodes; a value whose next
+   digit would pass these limits overflows int63. *)
+let acc_limit = min_int / 10
+let last_digit_limit = -(min_int mod 10)
+
+(* A [hit] line is printed per survivor, so it is decoded in place: one
+   pass over the bytes, each value written straight into its iterator
+   slot, nothing allocated. The accepted shape is exactly "hit" then,
+   per iterator, one space and a strict decimal int63 ([-]?[0-9]+).
+   Any deviation returns false; [hit_diagnostic] then says why. *)
+let scan_hit iter_slots slots line =
+  let len = String.length line in
+  let n = Array.length iter_slots in
+  let pos = ref 3 and i = ref 0 and ok = ref true in
+  while !ok && !i < n do
+    if !pos >= len || line.[!pos] <> ' ' then ok := false
+    else begin
+      let neg = !pos + 1 < len && line.[!pos + 1] = '-' in
+      let start = if neg then !pos + 2 else !pos + 1 in
+      let acc = ref 0 in
+      pos := start;
+      while !ok && !pos < len && line.[!pos] <> ' ' do
+        let d = Char.code line.[!pos] - 48 in
+        if
+          d < 0 || d > 9 || !acc < acc_limit
+          || (!acc = acc_limit && d > last_digit_limit)
+        then ok := false
+        else begin
+          acc := (!acc * 10) - d;
+          incr pos
+        end
+      done;
+      if !pos = start || ((not neg) && !acc = min_int) then ok := false;
+      if !ok then begin
+        slots.(iter_slots.(!i)) <- (if neg then !acc else - !acc);
+        incr i
+      end
+    end
+  done;
+  !ok && !pos = len
+
+(* Why [scan_hit] refused a line. Only the reject path gets here, so it
+   may split and format freely. Empty fields come first because a stray
+   space also throws the arity off; then the arity (the symptom of
+   interleaved or truncated writes); then the first bad value. *)
+let hit_diagnostic ~n_iters line =
+  let values = List.tl (String.split_on_char ' ' line) in
+  let n = List.length values in
+  let value_fault s =
+    let len = String.length s in
+    let start = if len > 0 && s.[0] = '-' then 1 else 0 in
+    let rec bad_byte i =
+      if i >= len then None
+      else match s.[i] with '0' .. '9' -> bad_byte (i + 1) | c -> Some (c, i)
+    in
+    match bad_byte start with
+    | Some (c, i) ->
+      Some
+        (Printf.sprintf "is not a decimal integer: %S (byte %C at offset %d)" s
+           c i)
+    | None when start = len ->
+      Some (Printf.sprintf "is not a decimal integer: %S (no digits)" s)
+    | None when int_of_string_opt s = None ->
+      Some (Printf.sprintf "overflows a 63-bit integer: %S" s)
+    | None -> None
+  in
+  match List.find_index (( = ) "") values with
+  | Some i ->
+    Printf.sprintf "hit value %d is empty (%s)" i
+      (if i = n - 1 then "trailing space" else "double space")
+  | None when n <> n_iters ->
+    Printf.sprintf
+      "hit line has %d values, expected %d (interleaved or truncated output?)"
+      n n_iters
+  | None -> (
+    let fault i s =
+      Option.map (Printf.sprintf "hit value %d %s" i) (value_fault s)
+    in
+    match List.find_mapi fault values with
+    | Some msg -> msg
+    | None -> Printf.sprintf "malformed hit line %S" line)
 
 let stats_of_lines ?on_hit (plan : Plan.t) (lines : string Seq.t) :
     (Engine.stats, string) result =
@@ -156,22 +264,21 @@ let stats_of_lines ?on_hit (plan : Plan.t) (lines : string Seq.t) :
   let n_constraints = Array.length plan.Plan.constraint_info in
   let derives = derive_sequence plan in
   let slots = Array.make (max 1 plan.Plan.n_slots) 0 in
-  let replay_hit values =
+  (* One lookup for the whole run: it reads the shared slot array, which
+     each hit overwrites in place. *)
+  let lookup = Plan.lookup_of_slots plan slots in
+  let derive (slot, compute) = slots.(slot) <- compute slots in
+  let replay_hit () =
     match on_hit with
     | None -> ()
     | Some f ->
-      Array.iteri (fun i v -> slots.(plan.Plan.iter_slots.(i)) <- v) values;
-      List.iter
-        (fun (slot, compute) ->
-          match (compute : Plan.compute) with
-          | Plan.CE e -> slots.(slot) <- Plan.eval_cexpr slots e
-          | Plan.CF f -> slots.(slot) <- f slots)
-        derives;
-      f (Plan.lookup_of_slots plan slots)
+      Array.iter derive derives;
+      f lookup
   in
   (* Grammar: hit* , survivors N , iterations N , pruned <name> N per
-     constraint in plan order. Anything else is a hard error naming the
-     line — garbled output must never parse as plausible statistics. *)
+     constraint in plan order, hit values strict decimal int63. Anything
+     else is a hard error naming the line — garbled output must never
+     parse as plausible statistics. *)
   let hits = ref 0 in
   let survivors = ref None in
   let iterations = ref None in
@@ -190,31 +297,17 @@ let stats_of_lines ?on_hit (plan : Plan.t) (lines : string Seq.t) :
     | Some v -> k v
     | None -> reject lineno "%s is not an integer: %S" what s
   in
-  let lineno = ref 0 in
-  let handle line =
-    incr lineno;
-    let lineno = !lineno in
+  let handle_hit lineno line =
+    if !survivors <> None then
+      reject lineno "hit line after the summary started"
+    else if scan_hit plan.Plan.iter_slots slots line then begin
+      incr hits;
+      replay_hit ()
+    end
+    else reject lineno "%s" (hit_diagnostic ~n_iters line)
+  in
+  let handle_summary lineno line =
     match String.split_on_char ' ' line with
-    | "hit" :: values ->
-      if !survivors <> None then
-        reject lineno "hit line after the summary started"
-      else if List.length values <> n_iters then
-        reject lineno
-          "hit line has %d values, expected %d (interleaved or truncated \
-           output?)"
-          (List.length values) n_iters
-      else begin
-        let parsed = Array.make n_iters 0 in
-        List.iteri
-          (fun i s ->
-            int_field lineno (Printf.sprintf "hit value %d" i) s (fun v ->
-                parsed.(i) <- v))
-          values;
-        if !fail = None then begin
-          incr hits;
-          replay_hit parsed
-        end
-      end
     | [ "survivors"; n ] ->
       if !survivors <> None then reject lineno "duplicate survivors line"
       else int_field lineno "survivors" n (fun v -> survivors := Some v)
@@ -239,6 +332,12 @@ let stats_of_lines ?on_hit (plan : Plan.t) (lines : string Seq.t) :
               incr next_constraint)
       end
     | _ -> reject lineno "unrecognized line %S" line
+  in
+  let lineno = ref 0 in
+  let handle line =
+    incr lineno;
+    if is_hit_line line then handle_hit !lineno line
+    else handle_summary !lineno line
   in
   Seq.iter (fun line -> if !fail = None then handle line) lines;
   match !fail with
@@ -317,8 +416,10 @@ let run ?on_hit ?workdir ?(threads = 1) (plan : Plan.t) =
               | Ok stats -> stats
               | Result.Error msg -> raise (Error msg))
             | Unix.WEXITED n -> errorf "%s exited with status %d" exe n
-            | Unix.WSIGNALED s -> errorf "%s killed by signal %d" exe s
-            | Unix.WSTOPPED s -> errorf "%s stopped by signal %d" exe s))
+            | Unix.WSIGNALED s ->
+              errorf "%s killed by signal %s" exe (signal_name s)
+            | Unix.WSTOPPED s ->
+              errorf "%s stopped by signal %s" exe (signal_name s)))
   in
   Obs.progress_tick ~points:stats.Engine.loop_iterations
     ~survivors:stats.Engine.survivors ~frac:1.0;

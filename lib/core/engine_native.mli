@@ -71,7 +71,21 @@ val stats_of_lines :
     missing lines, a survivor count disagreeing with the number of hit
     lines) is an [Error] naming the line. [on_hit] fires per hit line,
     in stream order, with a lookup resolving iterators, derived
-    variables and settings. *)
+    variables and settings.
+
+    [hit] lines are scanned in place: each value is decoded from the
+    line's bytes straight into its iterator slot, the plan's derive
+    steps are replayed from an array staged once per call, and one
+    lookup over the shared slot array serves every hit, so a survivor
+    costs a byte scan: about 0.15–0.2 µs per GEMM hit on a 2-core
+    Xeon VM, against 3–4 µs for the split-and-convert parse it
+    replaced. Hit values are strict decimal int63: an optional [-],
+    then one or more digits, anything outside [min_int … max_int]
+    rejected. Unlike [int_of_string] this refuses [+], [0x]/[0o]/[0b]
+    prefixes and [_] separators — the generated C never prints them.
+    Fields are separated by exactly one space; a double or trailing
+    space is rejected as an empty value. Diagnostics are built only on
+    the reject path. *)
 
 val run :
   ?on_hit:Engine.on_hit -> ?workdir:string -> ?threads:int -> Plan.t ->

@@ -13,6 +13,13 @@ let full_stats_equal a b =
 let check_stats msg a b =
   Alcotest.(check bool) msg true (full_stats_equal a b)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 let in_workdir f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
@@ -122,6 +129,63 @@ let test_on_hit_roundtrip () =
         "hit order and contents" (List.rev !staged_hits)
         (List.rev !native_hits))
 
+(* Every hit rendered as one string of every slot (iterators and
+   derived variables) and every setting, read through the lookup. *)
+let record_hits plan =
+  let names =
+    Array.to_list plan.Plan.slot_names @ List.map fst plan.Plan.settings
+  in
+  let hits = ref [] in
+  let on_hit lookup =
+    hits :=
+      String.concat " "
+        (List.map (fun n -> n ^ "=" ^ Value.to_string (lookup n)) names)
+      :: !hits
+  in
+  (on_hit, fun () -> List.rev !hits)
+
+let check_same_hits msg plan ~min_hits workdir =
+  let on_staged, staged = record_hits plan in
+  ignore (Engine_staged.run ~on_hit:on_staged plan);
+  let on_native, native = record_hits plan in
+  ignore (Engine_native.run ~on_hit:on_native ~workdir plan);
+  let staged = staged () and native = native () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: at least %d hits (got %d)" msg min_hits
+       (List.length staged))
+    true
+    (List.length staged >= min_hits);
+  Alcotest.(check int)
+    (msg ^ ": hit count") (List.length staged) (List.length native);
+  List.iteri
+    (fun i (a, b) ->
+      if a <> b then
+        Alcotest.failf "%s: hit %d differs:\n staged %s\n native %s" msg i a b)
+    (List.combine staged native)
+
+let test_on_hit_gemm_identity () =
+  (* GEMM scale: thousands of hits, dozens of derived variables and the
+     device settings, on the plain plan and on the propagated plan the
+     tuner runs. *)
+  in_workdir (fun workdir ->
+      let plan = Plan.make_exn (small_gemm ()) in
+      check_same_hits "gemm" plan ~min_hits:1000 workdir;
+      check_same_hits "propagated gemm" (Propagate.pass plan) ~min_hits:1000
+        workdir)
+
+let test_on_hit_negative_values () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"negative" () in
+  Space.setting_i sp "offset" (-7);
+  Space.iterator sp "x" (Iter.range_i (-50) 51);
+  Space.iterator sp "y"
+    (Iter.range ~step:(Expr.int (-3)) (Expr.int 40) (Expr.var "x"));
+  Space.derived sp "d" ((Expr.var "x" *: Expr.var "y") +: Expr.var "offset");
+  Space.constrain sp "positive" (Expr.var "d" >: Expr.int 0);
+  in_workdir (fun workdir ->
+      check_same_hits "negative iterators" (Plan.make_exn sp) ~min_hits:100
+        workdir)
+
 (* ------------------------------------------------------------------ *)
 (* The stats parser on hostile input                                   *)
 (* ------------------------------------------------------------------ *)
@@ -133,13 +197,6 @@ let check_rejects msg plan lines fragment =
   match parse plan lines with
   | Ok _ -> Alcotest.failf "%s: garbled output parsed as statistics" msg
   | Error e ->
-    let contains s sub =
-      let n = String.length sub in
-      let rec go i =
-        i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-      in
-      go 0
-    in
     Alcotest.(check bool)
       (Printf.sprintf "%s: diagnostic %S mentions %S" msg e fragment)
       true (contains e fragment)
@@ -197,6 +254,58 @@ let test_parser_rejects_malformed () =
     ]
     "extra pruned"
 
+let test_parser_rejects_hostile_hits () =
+  (* Every line goes through the in-place scanner; each rejection names
+     its fault and the line. The triangle plan loops over x and y. *)
+  let plan = Plan.make_exn (Support.triangle_space ()) in
+  let rejects msg hit fragment =
+    check_rejects msg plan [ hit; "survivors 1" ] fragment
+  in
+  rejects "double space" "hit 1  2" "hit value 1 is empty (double space)";
+  rejects "trailing space" "hit 1 2 " "hit value 2 is empty (trailing space)";
+  rejects "empty field" "hit " "hit value 0 is empty";
+  rejects "plus sign" "hit +5 2" "hit value 0 is not a decimal integer";
+  rejects "plus sign byte" "hit +5 2" "byte '+'";
+  rejects "hex" "hit 1 0x10" "byte 'x' at offset 1";
+  rejects "underscore" "hit 1_000 2" "byte '_' at offset 1";
+  rejects "20-digit overflow" "hit 12345678901234567890 2"
+    "hit value 0 overflows a 63-bit integer";
+  rejects "max_int + 1" "hit 1 4611686018427387904" "hit value 1 overflows";
+  rejects "min_int - 1" "hit -4611686018427387905 0" "hit value 0 overflows";
+  rejects "non-digit mid-field" "hit 1 2a3" "byte 'a' at offset 1";
+  rejects "lone minus" "hit - 2" "(no digits)";
+  rejects "too few values" "hit 1" "hit line has 1 values, expected 2";
+  rejects "too many values" "hit 1 2 3" "hit line has 3 values, expected 2";
+  rejects "no values" "hit" "hit line has 0 values";
+  check_rejects "line number of the bad hit" plan
+    [ "hit 1 2"; "hit 1 x" ]
+    "output line 2: hit value 1";
+  check_rejects "hit-like prefix" plan [ "hitch 1 2" ] "unrecognized line"
+
+let test_parser_accepts_extreme_hits () =
+  let plan = Plan.make_exn (Support.triangle_space ()) in
+  let seen = ref [] in
+  let on_hit lookup =
+    seen :=
+      List.map (fun n -> Value.to_int (lookup n)) [ "x"; "y"; "s" ] :: !seen
+  in
+  let lines =
+    [
+      "hit -3 4611686018427387903"; "hit -4611686018427387904 0"; "hit -0 007";
+      "survivors 3"; "iterations 3"; "pruned odd_sum 0"; "pruned big_x 0";
+    ]
+  in
+  match parse ~on_hit plan lines with
+  | Error e -> Alcotest.failf "negative and extreme values rejected: %s" e
+  | Ok stats ->
+    Alcotest.(check int) "survivors" 3 stats.Engine.survivors;
+    Alcotest.(check (list (list int)))
+      "values land in their slots, derived slots recomputed"
+      [
+        [ -3; max_int; max_int - 3 ]; [ min_int; 0; min_int ]; [ 0; 7; 7 ];
+      ]
+      (List.rev !seen)
+
 let test_parser_hit_count_mismatch () =
   let plan = Plan.make_exn (Support.triangle_space ()) in
   let lines =
@@ -243,6 +352,44 @@ let test_missing_compiler_diagnostic () =
               true
               (not (String.contains msg '\n'))))
 
+(* Fake compilers: shell scripts standing in for $BEAST_CC, so a dying
+   compiler or binary needs no undefined behaviour in C. *)
+let with_fake_cc workdir name body f =
+  if not (Sys.file_exists workdir) then Unix.mkdir workdir 0o755;
+  let path = Filename.concat workdir name in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc ("#!/bin/sh\nulimit -c 0\n" ^ body));
+  Unix.chmod path 0o755;
+  Unix.putenv "BEAST_CC" path;
+  Fun.protect ~finally:(fun () -> Unix.putenv "BEAST_CC" "") f
+
+let check_signal_named msg workdir signal =
+  match Engine_native.run ~workdir (Plan.make_exn (Support.triangle_space ()))
+  with
+  | _ -> Alcotest.failf "%s: run succeeded" msg
+  | exception Engine_native.Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: diagnostic %S names %s" msg e signal)
+      true
+      (contains e ("killed by signal " ^ signal))
+
+let test_compiler_signal_named () =
+  in_workdir (fun workdir ->
+      with_fake_cc workdir "segv-cc" "kill -SEGV $$\n" (fun () ->
+          check_signal_named "compiler" workdir "SIGSEGV"))
+
+let test_binary_signal_named () =
+  (* The "compiler" writes, as its -o output, a script that dies of
+     SIGFPE when the engine runs it. *)
+  let body =
+    "while [ $# -gt 0 ]; do [ \"$1\" = -o ] && out=$2; shift; done\n\
+     printf '#!/bin/sh\\nulimit -c 0\\nkill -FPE $$\\n' > \"$out\"\n\
+     chmod +x \"$out\"\n"
+  in
+  in_workdir (fun workdir ->
+      with_fake_cc workdir "fpe-cc" body (fun () ->
+          check_signal_named "binary" workdir "SIGFPE"))
+
 let test_compile_cache_hit () =
   in_workdir (fun workdir ->
       let plan = Plan.make_exn (Support.triangle_space ()) in
@@ -267,17 +414,7 @@ let test_compile_cache_hit () =
           Alcotest.(check string) "cache hit without compiler" exe1 exe3))
 
 let no_temp_files workdir =
-  Array.for_all
-    (fun f ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-        in
-        go 0
-      in
-      not (contains f ".tmp"))
-    (Sys.readdir workdir)
+  Array.for_all (fun f -> not (contains f ".tmp")) (Sys.readdir workdir)
 
 let test_kill_mid_run_leaves_no_temps () =
   in_workdir (fun workdir ->
@@ -357,6 +494,10 @@ let () =
           Alcotest.test_case "3-way shard merge" `Quick
             test_sharded_matches_unsharded;
           Alcotest.test_case "on_hit round-trip" `Quick test_on_hit_roundtrip;
+          Alcotest.test_case "on_hit gemm identity" `Quick
+            test_on_hit_gemm_identity;
+          Alcotest.test_case "on_hit negative values" `Quick
+            test_on_hit_negative_values;
         ] );
       ( "parser",
         [
@@ -366,6 +507,10 @@ let () =
             test_parser_rejects_malformed;
           Alcotest.test_case "rejects survivor/hit mismatch" `Quick
             test_parser_hit_count_mismatch;
+          Alcotest.test_case "rejects hostile hit lines" `Quick
+            test_parser_rejects_hostile_hits;
+          Alcotest.test_case "accepts negative and extreme hits" `Quick
+            test_parser_accepts_extreme_hits;
         ] );
       ( "hygiene",
         [
@@ -373,6 +518,10 @@ let () =
             test_unsupported_is_one_line_error;
           Alcotest.test_case "missing compiler diagnostic" `Quick
             test_missing_compiler_diagnostic;
+          Alcotest.test_case "compiler signal named" `Quick
+            test_compiler_signal_named;
+          Alcotest.test_case "binary signal named" `Quick
+            test_binary_signal_named;
           Alcotest.test_case "compile cache hit" `Quick test_compile_cache_hit;
           Alcotest.test_case "kill mid-run leaves no temps" `Quick
             test_kill_mid_run_leaves_no_temps;
