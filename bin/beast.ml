@@ -776,16 +776,28 @@ let codegen_cmd =
   in
   let threads_arg =
     Arg.(value & opt int 1 & info [ "threads" ] ~docv:"N"
-           ~doc:"pthread fan-out (C backend only).")
+           ~doc:"pthread fan-out (C backend only). With N > 1 the \
+                 program needs a compiler with GCC-style $(i,__atomic) \
+                 builtins (gcc or clang).")
+  in
+  let usage fmt =
+    Format.kasprintf
+      (fun msg ->
+        Format.eprintf "beast: codegen: %s@." msg;
+        exit 2)
+      fmt
   in
   let run space_name device max_dim max_threads lang threads =
+    if threads < 1 then usage "--threads must be >= 1 (got %d)" threads;
+    if threads <> 1 && lang <> Codegen.C then
+      usage "--threads applies to --lang c only (got --lang %s)"
+        (Codegen.lang_name lang);
     let device = resolve_device device max_dim max_threads in
     let sp = resolve_space space_name device in
     match Codegen.generate ~threads lang (Plan.make_exn sp) with
     | Ok source -> print_string source
     | Error e ->
-      Format.eprintf "cannot translate: %a@." Codegen_c.pp_error e;
-      exit 1
+      usage "cannot translate %s: %a" space_name Codegen_c.pp_error e
   in
   Cmd.v
     (Cmd.info "codegen"

@@ -19,11 +19,15 @@
 
     Sharding composes for free: a plan restricted with
     {!Plan.chunk_outer} (what [beast sweep --shard I/N] does) generates a
-    program for exactly that block, and the C program's own
-    [slice_index/slice_count] round-robin decomposition carries the
-    [THREADS] fan-out, with depth-0 statistics counted by slice 0 alone —
-    so both [beast merge] over shard files and the in-binary pthread
-    split reproduce the unsharded, single-threaded output byte for byte.
+    program for exactly that block. Inside the binary the [THREADS]
+    workers claim outer values one at a time from an atomic cursor per
+    depth-0 loop, so a skewed outer iterator still spreads over every
+    core; worker 0 (the main thread) alone counts the depth-0
+    statistics, and a helper thread that fails to start is skipped
+    while the others drain its share. Both [beast merge] over shard
+    files and the in-binary split therefore reproduce the unsharded,
+    single-threaded output byte for byte. [THREADS > 1] needs a
+    compiler with GCC-style [__atomic] builtins (gcc or clang).
 
     Failures are values, not traces: an untranslatable plan (opaque OCaml
     constraint bodies, dependent closure iterators), a missing compiler,

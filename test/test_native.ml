@@ -63,29 +63,35 @@ let test_matches_staged_gemm () =
       check_stats "threads=4" expected
         (Engine_native.run ~workdir ~threads:4 plan))
 
-let test_depth0_constraint_threads () =
-  (* A constraint evaluable before the first loop executes in every
-     pthread slice but must be counted once — the slice-0 convention.
-     With the space disabled it fires in all 3 slices; pruned must still
-     read 1, survivors 0. *)
+let depth0_space () =
   let open Expr.Infix in
   let sp = Space.create ~name:"depth0" () in
   Space.setting_i sp "enabled" 0;
   Space.iterator sp "x" (Iter.range_i 0 50);
   Space.constrain sp "disabled_space" (Expr.var "enabled" =: Expr.int 0);
+  sp
+
+let pointlike_space () =
+  let sp = Space.create ~name:"pointlike" () in
+  Space.setting_i sp "n" 3;
+  sp
+
+let test_depth0_constraint_threads () =
+  (* A constraint evaluable before the first loop executes in every
+     worker but must be counted once — by worker 0. With the space
+     disabled it fires in all 3 workers; pruned must still read 1,
+     survivors 0. *)
   in_workdir (fun workdir ->
-      let plan = Plan.make_exn sp in
+      let plan = Plan.make_exn (depth0_space ()) in
       let expected = Engine_staged.run plan in
       check_stats "threads=3" expected
         (Engine_native.run ~workdir ~threads:3 plan))
 
 let test_loop_free_plan_threads () =
-  (* No loops at all: the single point belongs to slice 0 alone, so a
+  (* No loops at all: the single point belongs to worker 0 alone, so a
      multithreaded binary must not count it once per thread. *)
-  let sp = Space.create ~name:"pointlike" () in
-  Space.setting_i sp "n" 3;
   in_workdir (fun workdir ->
-      let plan = Plan.make_exn sp in
+      let plan = Plan.make_exn (pointlike_space ()) in
       let expected = Engine_staged.run plan in
       check_stats "threads=4" expected
         (Engine_native.run ~workdir ~threads:4 plan))
@@ -105,6 +111,171 @@ let test_sharded_matches_unsharded () =
         List.fold_left Engine.merge (List.hd parts) (List.tl parts)
       in
       check_stats "3 shards merge to the whole" whole merged)
+
+(* ------------------------------------------------------------------ *)
+(* The atomic outer cursor of multithreaded binaries                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Thread counts every cursor test runs: a few small ones and one far
+   above any outer trip count used here, so most helpers find the
+   cursor already drained. *)
+let cursor_threads = [ 2; 3; 8; 97 ]
+
+let check_threads msg plan workdir =
+  let expected = Engine_staged.run plan in
+  List.iter
+    (fun threads ->
+      check_stats
+        (Printf.sprintf "%s, threads=%d" msg threads)
+        expected
+        (Engine_native.run ~workdir ~threads plan))
+    cursor_threads
+
+let outer_iter (plan : Plan.t) =
+  match List.find_opt (function Plan.Loop _ -> true | _ -> false) plan.Plan.steps with
+  | Some (Plan.Loop { l_iter; _ }) -> l_iter
+  | _ -> Alcotest.fail "plan has no outer loop"
+
+let test_cursor_skewed_outer () =
+  (* Only x = 0 mod 4 survives the first inner constraint, so a
+     round-robin split over 2 or 4 threads would hand all the deep work
+     to one residue class; with the cursor it runs wherever it is
+     claimed, and the statistics must not notice. *)
+  let open Expr.Infix in
+  let sp = Space.create ~name:"skewed" () in
+  Space.iterator sp "x" (Iter.range_i 0 40);
+  Space.constrain sp "off_residue" (Expr.var "x" %: Expr.int 4 <>: Expr.int 0);
+  Space.iterator sp "y" (Iter.range (Expr.int 0) (Expr.var "x" +: Expr.int 30));
+  Space.constrain sp "odd" (Expr.var "y" %: Expr.int 2 =: Expr.int 1);
+  in_workdir (fun workdir -> check_threads "skewed" (Plan.make_exn sp) workdir)
+
+let test_cursor_outer_values () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"outer_values" () in
+  Space.iterator sp "x" (Iter.ints [ 7; -2; 30; 0; 11; 5 ]);
+  Space.iterator sp "y" (Iter.range (Expr.int 0) (Expr.var "x"));
+  Space.constrain sp "big" (Expr.var "x" +: Expr.var "y" >: Expr.int 35);
+  let plan = Plan.make_exn sp in
+  (match outer_iter plan with
+  | Plan.CValues _ -> ()
+  | _ -> Alcotest.fail "outer iterator is not a value table");
+  in_workdir (fun workdir -> check_threads "outer values" plan workdir)
+
+let test_cursor_negative_step () =
+  (* The outer range counts down from a depth-0 derived bound. *)
+  let open Expr.Infix in
+  let sp = Space.create ~name:"countdown" () in
+  Space.setting_i sp "n" 20;
+  Space.derived sp "hi" (Expr.var "n" *: Expr.int 2);
+  Space.iterator sp "x"
+    (Iter.range ~step:(Expr.int (-3)) (Expr.var "hi") (Expr.int (-11)));
+  Space.iterator sp "y" (Iter.range (Expr.var "x") (Expr.var "x" +: Expr.int 5));
+  Space.constrain sp "neg" (Expr.var "x" *: Expr.var "y" <: Expr.int 0);
+  let plan = Plan.make_exn sp in
+  (match outer_iter plan with
+  | Plan.CRange (_, _, Plan.CLit step) when step < 0 -> ()
+  | _ -> Alcotest.fail "outer iterator is not a descending range");
+  in_workdir (fun workdir -> check_threads "negative step" plan workdir)
+
+let test_cursor_depth0 () =
+  in_workdir (fun workdir ->
+      check_threads "depth-0 constraint" (Plan.make_exn (depth0_space ()))
+        workdir;
+      check_threads "loop-free plan" (Plan.make_exn (pointlike_space ()))
+        workdir)
+
+(* Propagation drops the outer values x >= 20 and leaves a depth-0
+   Static_prune replay of them before the outer loop. *)
+let outer_prune_space () =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"outer_prune" () in
+  Space.iterator sp "x" (Iter.range_i 0 30);
+  Space.constrain sp "x_big" (Expr.var "x" >=: Expr.int 20);
+  Space.iterator sp "y" (Iter.range (Expr.var "x") (Expr.int 25));
+  Space.constrain sp "odd_sum"
+    ((Expr.var "x" +: Expr.var "y") %: Expr.int 2 =: Expr.int 1);
+  sp
+
+let test_cursor_static_prune () =
+  (* Every worker passes the replay; worker 0 alone must count it. *)
+  let plan = Propagate.pass (Plan.make_exn (outer_prune_space ())) in
+  let rec depth0_prune = function
+    | Plan.Static_prune _ :: _ -> true
+    | Plan.Loop _ :: _ | [] -> false
+    | _ :: rest -> depth0_prune rest
+  in
+  Alcotest.(check bool) "plan replays a static prune at depth 0" true
+    (depth0_prune plan.Plan.steps);
+  in_workdir (fun workdir -> check_threads "outer static prune" plan workdir)
+
+let test_cursor_shards () =
+  (* Plan.chunk_outer blocks, each run on 3 threads, merge to the whole
+     sequential run. *)
+  in_workdir (fun workdir ->
+      List.iter
+        (fun (msg, plan) ->
+          let whole = Engine_staged.run plan in
+          let parts =
+            List.init 3 (fun index ->
+                Engine_native.run ~workdir ~threads:3
+                  (Plan.chunk_outer plan ~index ~of_:3))
+          in
+          check_stats (msg ^ ": 3 shards on 3 threads merge to the whole")
+            whole
+            (List.fold_left Engine.merge (List.hd parts) (List.tl parts)))
+        [
+          ("triangle", Plan.make_exn (Support.triangle_space ()));
+          ("propagated gemm", Propagate.pass (Plan.make_exn (small_gemm ())));
+          ("outer static prune", Propagate.pass (Plan.make_exn (outer_prune_space ())));
+        ])
+
+let test_single_thread_source_has_no_atomics () =
+  (* The single-threaded translation unit keeps the plain outer loop
+     the compiler can fold; only multithreaded ones use the cursor. *)
+  let plan = Plan.make_exn (small_gemm ()) in
+  Alcotest.(check bool) "threads=1 has no __atomic" false
+    (contains (Codegen_c.generate_exn plan) "__atomic");
+  Alcotest.(check bool) "threads=2 claims through __atomic_fetch_add" true
+    (contains (Codegen_c.generate_exn ~threads:2 plan) "__atomic_fetch_add")
+
+let test_failed_thread_start () =
+  (* Under a virtual-memory limit most of the 64 thread stacks cannot
+     be mapped. Workers that did start (the main thread always does)
+     drain the cursor, so the statistics are still the sequential ones,
+     and the binary says on stderr how many helpers it lost. *)
+  let device =
+    Beast_gpu.Device.scale ~max_dim:32 ~max_threads:128
+      Beast_gpu.Device.tesla_k40c
+  in
+  let settings = { Beast_kernels.Gemm.default_settings with device } in
+  let plan = Plan.make_exn (Beast_kernels.Gemm.space ~settings ()) in
+  in_workdir (fun workdir ->
+      let exe = Engine_native.compile ~workdir ~threads:64 plan in
+      let out = Filename.concat workdir "limited.out"
+      and err = Filename.concat workdir "limited.err" in
+      let rc =
+        Sys.command
+          (Filename.quote_command "/bin/sh"
+             [ "-c"; "ulimit -s 8192; ulimit -v 120000; exec \"$0\""; exe ]
+             ~stdout:out ~stderr:err)
+      in
+      let read f = In_channel.with_open_text f In_channel.input_all in
+      let stdout = read out and stderr = read err in
+      Sys.remove out;
+      Sys.remove err;
+      Alcotest.(check int) "exit status" 0 rc;
+      Alcotest.(check bool)
+        (Printf.sprintf "stderr %S reports helpers that failed to start" stderr)
+        true
+        (contains stderr "helper threads failed to start");
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' stdout)
+      in
+      match Engine_native.stats_of_lines plan (List.to_seq lines) with
+      | Error e -> Alcotest.failf "output rejected: %s" e
+      | Ok stats ->
+        check_stats "statistics equal the staged run" (Engine_staged.run plan)
+          stats)
 
 (* ------------------------------------------------------------------ *)
 (* on_hit round-trip                                                   *)
@@ -498,6 +669,24 @@ let () =
             test_on_hit_gemm_identity;
           Alcotest.test_case "on_hit negative values" `Quick
             test_on_hit_negative_values;
+        ] );
+      ( "cursor",
+        [
+          Alcotest.test_case "skewed outer iterator" `Quick
+            test_cursor_skewed_outer;
+          Alcotest.test_case "outer value table" `Quick
+            test_cursor_outer_values;
+          Alcotest.test_case "outer negative step" `Quick
+            test_cursor_negative_step;
+          Alcotest.test_case "depth-0 constraint and loop-free plan" `Quick
+            test_cursor_depth0;
+          Alcotest.test_case "depth-0 static prune" `Quick
+            test_cursor_static_prune;
+          Alcotest.test_case "shards on 3 threads" `Quick test_cursor_shards;
+          Alcotest.test_case "single-threaded source has no atomics" `Quick
+            test_single_thread_source_has_no_atomics;
+          Alcotest.test_case "failed thread start" `Quick
+            test_failed_thread_start;
         ] );
       ( "parser",
         [
