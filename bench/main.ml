@@ -65,6 +65,10 @@ let time_once fn =
   let r = fn () in
   (r, Unix.gettimeofday () -. t0)
 
+let finished = function
+  | Engine_intf.Finished stats -> stats
+  | Engine_intf.Interrupted _ -> failwith "bench: unexpected interruption"
+
 (* ------------------------------------------------------------------ *)
 (* Figures 17/18/19: loop-nest rates per language tier.                *)
 (* ------------------------------------------------------------------ *)
@@ -513,27 +517,19 @@ let ablation_parallel () =
 let ablation_checkpoint () =
   header
     "Ablation: checkpointing overhead and resume equivalence. The\n\
-     resumable scheduler is the plain work-stealing sweep plus a chunk\n\
-     ledger; the pathological configuration below flushes the ledger to\n\
-     disk after every chunk (a real deployment writes every few\n\
-     seconds, amortizing to ~zero).";
+     work-stealing scheduler always keeps a chunk ledger; the\n\
+     pathological configuration below flushes it to disk after every\n\
+     chunk (a real deployment writes every few seconds, amortizing to\n\
+     ~zero).";
   let max_dim = if fast then 20 else 32 in
   let max_threads = if fast then 96 else 128 in
   let device = Device.scale ~max_dim ~max_threads Device.tesla_k40c in
   let settings = { Gemm.default_settings with Gemm.device } in
   let plan = Plan.make_exn (Gemm.space ~settings ()) in
   let domains = 4 in
-  let finished = function
-    | Engine_intf.Finished stats -> stats
-    | Engine_intf.Interrupted _ -> failwith "bench: unexpected interruption"
-  in
   ignore (Engine_parallel.run ~domains plan) (* warm up domain spawning *);
   let s_plain, t_plain =
-    time_once (fun () -> Engine_parallel.run ~domains plan)
-  in
-  let s_ledger, t_ledger =
-    time_once (fun () ->
-        finished (Engine_parallel.run_resumable ~domains plan))
+    time_once (fun () -> finished (Engine_parallel.run ~domains plan))
   in
   let ck_path = Filename.temp_file "beast_bench_ck" ".json" in
   let sink =
@@ -548,15 +544,12 @@ let ablation_checkpoint () =
   let s_ck, t_ck =
     time_once (fun () ->
         finished
-          (Engine_parallel.run_resumable ~checkpoint:sink ~domains plan))
+          (Engine_parallel.run ~checkpoint:sink ~domains plan))
   in
-  Printf.printf "plain work stealing:          %8.3f s\n" t_plain;
-  Printf.printf "resumable, no checkpoint:     %8.3f s  (+%.1f%%)\n" t_ledger
-    (100.0 *. ((t_ledger /. t_plain) -. 1.0));
+  Printf.printf "no checkpoint:                %8.3f s\n" t_plain;
   Printf.printf "checkpoint after every chunk: %8.3f s  (+%.1f%%)\n" t_ck
     (100.0 *. ((t_ck /. t_plain) -. 1.0));
-  Printf.printf "stats agree across all three: %b\n"
-    (s_plain = s_ledger && s_plain = s_ck);
+  Printf.printf "stats agree: %b\n" (s_plain = s_ck);
   (* Resume equivalence: interrupt partway, resume from the flushed
      ledger, compare the stats files byte for byte. *)
   let hits = ref 0 in
@@ -566,14 +559,14 @@ let ablation_checkpoint () =
     if !hits = target then Engine_parallel.interrupt ()
   in
   (match
-     Engine_parallel.run_resumable ~on_hit ~checkpoint:sink ~domains plan
+     Engine_parallel.run ~on_hit ~checkpoint:sink ~domains plan
    with
   | Engine_intf.Interrupted { completed; total } ->
     let resumed =
       match Checkpoint.of_file ck_path with
       | Error msg -> failwith ("bench: checkpoint unreadable: " ^ msg)
       | Ok ck ->
-        finished (Engine_parallel.run_resumable ~resume:ck ~domains plan)
+        finished (Engine_parallel.run ~resume:ck ~domains plan)
     in
     let json stats = Stats_io.to_json (Stats_io.of_stats ~plan stats) in
     Printf.printf
@@ -583,6 +576,16 @@ let ablation_checkpoint () =
   | Engine_intf.Finished _ ->
     print_endline "interrupt landed after the sweep finished; nothing to resume");
   Sys.remove ck_path
+
+(* The baseline for work stealing: one static round-robin slice per
+   domain ({!Plan.slice_outer}), no stealing. With skewed pruning most
+   domains finish early and wait on the slowest slice. *)
+let run_static ~domains plan =
+  List.init domains (fun index ->
+      let slice = Plan.slice_outer plan ~index ~of_:domains in
+      Domain.spawn (fun () -> Engine_staged.run slice))
+  |> List.map Domain.join
+  |> Engine_parallel.merge plan
 
 (* Static round-robin split vs chunked work stealing on a skewed space.
    The skew is the natural one: a hoisted divisibility constraint on the
@@ -620,7 +623,7 @@ let ablation_stealing () =
           (Engine_staged.run (Plan.slice_outer plan ~index ~of_:domains))
             .Engine.loop_iterations)
   in
-  let n_chunks = domains * Engine_parallel.default_chunks_per_domain in
+  let n_chunks = domains * Engine_parallel.chunks_per_domain in
   let max_chunk_share =
     List.fold_left Float.max 0.0
       (List.init n_chunks (fun index ->
@@ -629,10 +632,10 @@ let ablation_stealing () =
                .Engine.loop_iterations))
   in
   ignore (Engine_parallel.run ~domains plan) (* warm up domain spawning *);
-  let s_static, t_static =
-    time_once (fun () -> Engine_parallel.run_static ~domains plan)
+  let s_static, t_static = time_once (fun () -> run_static ~domains plan) in
+  let s_steal, t_steal =
+    time_once (fun () -> finished (Engine_parallel.run ~domains plan))
   in
-  let s_steal, t_steal = time_once (fun () -> Engine_parallel.run ~domains plan) in
   let agree = s_static = seq && s_steal = seq in
   Printf.printf "survivors %d, loop iterations %d, %d domains\n"
     seq.Engine.survivors seq.Engine.loop_iterations domains;

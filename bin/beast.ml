@@ -615,9 +615,9 @@ let sweep_term =
           let outcome =
             match E.resumable with
             | Some resumable ->
-              (* The resumable scheduler also handles the plain case, so
-                 every parallel sweep gets graceful SIGINT/SIGTERM
-                 draining, checkpointed or not. *)
+              (* Every parallel sweep goes through the chunk ledger, so
+                 it gets graceful SIGINT/SIGTERM draining, checkpointed
+                 or not. *)
               let sink =
                 (* Keep checkpointing into the resumed file unless
                    --checkpoint redirects it. *)

@@ -13,135 +13,40 @@ let serialized_on_hit on_hit =
         Fun.protect ~finally:(fun () -> Mutex.unlock m) (fun () -> f lookup))
     on_hit
 
-(* Depth-0 checks run once per executed chunk/slice; their counts are
-   identical across non-empty chunks (they depend only on settings and
-   depth-0 derived variables), so a merge keeps a single execution's
-   value. Taking the per-index maximum is order-independent and also
-   correct for the loop-free plan, where only chunk 0 carries the
-   steps. *)
-let dedup_depth0 ~depth0 ~(single : Engine.stats) (merged : Engine.stats) =
-  let pruned =
-    Array.mapi
-      (fun i (n, c, k) ->
-        if depth0.(i) then
-          let _, _, k0 = single.Engine.pruned.(i) in
-          (n, c, k0)
-        else (n, c, k))
-      merged.Engine.pruned
-  in
-  { merged with Engine.pruned }
+(* Depth-0 checks run once per executed chunk or slice; their counts
+   are identical across non-empty pieces (they depend only on settings
+   and depth-0 derived variables), so the merge keeps a single
+   execution's value. Taking the per-constraint maximum is
+   order-independent and also correct for the loop-free plan, where only
+   piece 0 carries the steps. *)
+let merge (plan : Plan.t) = function
+  | [] -> invalid_arg "Engine_parallel.merge: no stats"
+  | first :: rest as pieces ->
+    let sum = List.fold_left Engine.merge first rest in
+    let depth0 = Plan.depth0_constraints plan in
+    let fired_once i =
+      List.fold_left
+        (fun m (s : Engine.stats) ->
+          let _, _, k = s.Engine.pruned.(i) in
+          max m k)
+        0 pieces
+    in
+    {
+      sum with
+      Engine.pruned =
+        Array.mapi
+          (fun i (n, c, k) ->
+            if depth0.(i) then (n, c, fired_once i) else (n, c, k))
+          sum.Engine.pruned;
+    }
 
-let pruned_max (a : Engine.stats) (b : Engine.stats) =
-  {
-    a with
-    Engine.pruned =
-      Array.mapi
-        (fun i (n, c, k) ->
-          let _, _, k' = b.Engine.pruned.(i) in
-          (n, c, max k k'))
-        a.Engine.pruned;
-  }
-
-let default_chunks_per_domain = 8
-
-let run ?on_hit ?(chunks_per_domain = default_chunks_per_domain) ~domains
-    (plan : Plan.t) =
-  if domains < 1 then invalid_arg "Engine_parallel.run: domains < 1";
-  if chunks_per_domain < 1 then
-    invalid_arg "Engine_parallel.run: chunks_per_domain < 1";
-  if domains = 1 then Engine_staged.run ?on_hit plan
-  else begin
-    let on_hit = serialized_on_hit on_hit in
-    let n_chunks = domains * chunks_per_domain in
-    let chunks =
-      Array.init n_chunks (fun index -> Plan.chunk_outer plan ~index ~of_:n_chunks)
-    in
-    (* Work stealing: a shared cursor hands out chunk indices; a domain
-       that exhausts a pruned-empty chunk immediately grabs the next
-       one, so skew in the constraint funnel cannot idle a domain for
-       longer than one chunk. Each worker folds its chunk results
-       locally (sum + per-constraint max for the depth-0 dedup). *)
-    let cursor = Atomic.make 0 in
-    let done_count = Atomic.make 0 in
-    (* One handle resolved up front; recording is per-domain inside. *)
-    let chunk_hist =
-      Option.map
-        (fun r ->
-          Metrics.histogram r ~unit_:"ns" ~name:"chunk_duration_ns"
-            ~labels:[ ("space", plan.Plan.space_name) ]
-            ())
-        (Metrics.current ())
-    in
-    let worker dom () =
-      let acc = ref None in
-      let rec steal () =
-        let i = Atomic.fetch_and_add cursor 1 in
-        if i < n_chunks then begin
-          let t0 = Clock.now_ns () in
-          let s =
-            Obs.with_span ~cat:"engine"
-              ~args:
-                [
-                  ("chunk", Obs.Int i);
-                  ("of", Obs.Int n_chunks);
-                  ("domain", Obs.Int dom);
-                ]
-              "sweep:chunk"
-              (fun () -> Engine_staged.run ?on_hit chunks.(i))
-          in
-          Option.iter
-            (fun h -> Metrics.record h (Clock.now_ns () - t0))
-            chunk_hist;
-          Obs.chunk_tick
-            ~completed:(1 + Atomic.fetch_and_add done_count 1)
-            ~total:n_chunks;
-          (acc :=
-             match !acc with
-             | None -> Some (s, s)
-             | Some (sum, mx) -> Some (Engine.merge sum s, pruned_max mx s));
-          steal ()
-        end
-      in
-      steal ();
-      !acc
-    in
-    let sweep () =
-      (* Anchor the reporter's throughput base before any chunk lands. *)
-      Obs.chunk_tick ~completed:0 ~total:n_chunks;
-      let spawned =
-        List.init domains (fun dom -> Domain.spawn (worker dom))
-      in
-      List.filter_map Domain.join spawned
-    in
-    let results =
-      Obs.with_span ~cat:"engine"
-        ~args:
-          [
-            ("space", Obs.Str plan.Plan.space_name);
-            ("domains", Obs.Int domains);
-            ("chunks", Obs.Int n_chunks);
-          ]
-        "sweep:parallel" sweep
-    in
-    match results with
-    | [] -> assert false (* n_chunks >= domains >= 2: someone ran a chunk *)
-    | (first_sum, first_max) :: rest ->
-      let sum, mx =
-        List.fold_left
-          (fun (sum, mx) (s, m) -> (Engine.merge sum s, pruned_max mx m))
-          (first_sum, first_max) rest
-      in
-      dedup_depth0 ~depth0:(Plan.depth0_constraints plan) ~single:mx sum
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Checkpointable, interruptible scheduler                             *)
-(* ------------------------------------------------------------------ *)
+let chunks_per_domain = 8
 
 (* Signal handlers may only do async-signal-safe work, so the handler
    installed by the CLI just flips this flag; workers poll it between
    chunks. A worker that sees the flag finishes the chunk it is running
-   (the ledger only ever holds complete chunks) and stops stealing. *)
+   (the ledger only ever holds complete chunks) and stops stealing. A
+   failing worker raises the same flag, so its siblings wind down too. *)
 let stop_requested = Atomic.make false
 let interrupt () = Atomic.set stop_requested true
 
@@ -156,15 +61,13 @@ let crashes ~prob ~seed ~chunk ~attempt =
 
 let max_crash_attempts = 1000
 
-let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
-    ?checkpoint ?resume ?fault ~domains (plan : Plan.t) : Engine_intf.outcome =
-  if domains < 1 then invalid_arg "Engine_parallel.run_resumable: domains < 1";
-  if chunks_per_domain < 1 then
-    invalid_arg "Engine_parallel.run_resumable: chunks_per_domain < 1";
+let run ?on_hit ?checkpoint ?resume ?fault ~domains (plan : Plan.t) :
+    Engine_intf.outcome =
+  if domains < 1 then invalid_arg "Engine_parallel.run: domains < 1";
   (match fault with
   | Some (Run_config.Chunk_crash { prob; _ })
     when prob < 0.0 || prob >= 1.0 ->
-    invalid_arg "Engine_parallel.run_resumable: crash probability not in [0, 1)"
+    invalid_arg "Engine_parallel.run: crash probability not in [0, 1)"
   | _ -> ());
   (* Reset the flag so a resumed run in the same process (tests, or a
      driver loop) does not inherit the interruption that produced the
@@ -286,12 +189,11 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
         attempt (k + 1)
       | Some (Run_config.Chunk_fatal { chunk = fatal }) when fatal = id ->
         (* Unrecoverable by design: the event lands in the flight ring
-           before the exception unwinds through Domain.join, so a
-           post-mortem dump names the chunk that took the run down. *)
+           before the exception leaves the sweep, so a post-mortem dump
+           names the chunk that took the run down. *)
         Obs.instant ~cat:"engine"
           ~args:[ ("chunk", Obs.Int id) ]
           "chunk:fatal";
-        Atomic.set stop_requested true;
         failwith
           (Printf.sprintf
              "Engine_parallel: injected fatal fault on chunk %d" id)
@@ -299,6 +201,8 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
     in
     attempt 0
   in
+  (* The first exception any worker raises, with its backtrace. *)
+  let failure = Atomic.make None in
   let worker dom () =
     let rec steal () =
       if not (Atomic.get stop_requested) then begin
@@ -325,13 +229,19 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
         end
       end
     in
-    steal ()
+    try steal ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set failure None (Some (e, bt)));
+      Atomic.set stop_requested true
   in
   let sweep () =
     (* The resumed count is reported up front so the reporter treats it
        as the base, not as throughput observed this run. *)
     Obs.chunk_tick ~completed:!completed ~total:n_chunks;
     let spawned = List.init domains (fun dom -> Domain.spawn (worker dom)) in
+    (* Workers never raise, so every domain is joined: once the sweep
+       returns or re-raises, no sibling is still calling on_hit. *)
     List.iter Domain.join spawned
   in
   Obs.with_span ~cat:"engine"
@@ -343,6 +253,9 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
         ("resumed", Obs.Int (n_chunks - Array.length pending));
       ]
     "sweep:parallel" sweep;
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    (Atomic.get failure);
   if !completed < n_chunks then begin
     (* Interrupted: flush a final checkpoint so nothing drained is
        lost, even if the periodic timer never fired. *)
@@ -355,63 +268,7 @@ let run_resumable ?on_hit ?(chunks_per_domain = default_chunks_per_domain)
     | None -> ());
     Engine_intf.Interrupted { completed = !completed; total = n_chunks }
   end
-  else begin
-    (* Fold the ledger in id order: merging is commutative and
-       associative, so this equals the worker-order fold of a live run
-       and the resumed output is byte-identical to an uninterrupted
-       one. *)
-    let acc = ref None in
-    Array.iter
-      (fun s ->
-        match s with
-        | None -> assert false
-        | Some s ->
-          acc :=
-            (match !acc with
-            | None -> Some (s, s)
-            | Some (sum, mx) -> Some (Engine.merge sum s, pruned_max mx s)))
-      ledger;
-    match !acc with
-    | None -> assert false (* n_chunks >= 1 *)
-    | Some (sum, mx) ->
-      Engine_intf.Finished
-        (dedup_depth0 ~depth0:(Plan.depth0_constraints plan) ~single:mx sum)
-  end
-
-(* The pre-chunking scheduler: one static round-robin slice per domain
-   ({!Plan.slice_outer}). Kept as the baseline for the ablation bench —
-   with skewed pruning most domains finish early and wait on the
-   slowest slice. *)
-let run_static ?on_hit ~domains (plan : Plan.t) =
-  if domains < 1 then invalid_arg "Engine_parallel.run_static: domains < 1";
-  if domains = 1 then Engine_staged.run ?on_hit plan
-  else begin
-    let on_hit = serialized_on_hit on_hit in
-    let sweep () =
-      let slices =
-        List.init domains (fun index -> Plan.slice_outer plan ~index ~of_:domains)
-      in
-      let spawned =
-        List.map
-          (fun slice -> Domain.spawn (fun () -> Engine_staged.run ?on_hit slice))
-          slices
-      in
-      List.map Domain.join spawned
-    in
-    let results =
-      Obs.with_span ~cat:"engine"
-        ~args:
-          [
-            ("space", Obs.Str plan.Plan.space_name);
-            ("domains", Obs.Int domains);
-          ]
-        "sweep:parallel-static" sweep
-    in
-    match results with
-    | [] -> assert false
-    | first :: rest ->
-      let merged = List.fold_left Engine.merge first rest in
-      dedup_depth0 ~depth0:(Plan.depth0_constraints plan) ~single:first merged
-  end
-
-let run_space ?on_hit ~domains space = run ?on_hit ~domains (Plan.make_exn space)
+  else
+    (* Every ledger slot is filled once all chunks completed. *)
+    Engine_intf.Finished
+      (merge plan (Array.to_list (Array.map Option.get ledger)))

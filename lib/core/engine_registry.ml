@@ -55,16 +55,20 @@ let parallel domains : (module Engine_intf.S) =
   (module struct
     let name = Printf.sprintf "parallel-%d" domains
 
-    let run ?on_hit = function
-      | Engine_intf.Space space ->
-        Engine_parallel.run_space ?on_hit ~domains space
-      | Engine_intf.Plan plan -> Engine_parallel.run ?on_hit ~domains plan
+    let run ?on_hit target =
+      let plan =
+        match target with
+        | Engine_intf.Space space -> Plan.make_exn space
+        | Engine_intf.Plan plan -> plan
+      in
+      match Engine_parallel.run ?on_hit ~domains plan with
+      | Engine_intf.Finished stats -> stats
+      | Engine_intf.Interrupted { completed; total } ->
+        failwith
+          (Printf.sprintf "%s: interrupted after %d of %d chunks" name
+             completed total)
 
-    let resumable =
-      Some
-        (fun ?on_hit ?checkpoint ?resume ?fault plan ->
-          Engine_parallel.run_resumable ?on_hit ?checkpoint ?resume ?fault
-            ~domains plan)
+    let resumable = Some (Engine_parallel.run ~domains)
   end)
 
 module Native : Engine_intf.S = struct

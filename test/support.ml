@@ -110,3 +110,10 @@ let stats_testable =
   Alcotest.testable Engine.pp_stats (fun a b ->
       a.Engine.survivors = b.Engine.survivors
       && a.Engine.pruned = b.Engine.pruned)
+
+(* A parallel sweep without a checkpoint, unwrapped to its stats. *)
+let parallel ?on_hit ~domains plan =
+  match Engine_parallel.run ?on_hit ~domains plan with
+  | Engine_intf.Finished stats -> stats
+  | Engine_intf.Interrupted { completed; total } ->
+    Alcotest.failf "unexpected interruption (%d/%d chunks)" completed total

@@ -157,15 +157,15 @@ let finished = function
 
 let test_resumable_equals_plain_run () =
   let plan = gemm_plan () in
-  let plain = Engine_parallel.run ~domains:2 plan in
-  let resumed = finished (Engine_parallel.run_resumable ~domains:2 plan) in
-  Alcotest.check Support.stats_testable "stats" plain resumed;
-  Alcotest.(check int) "loop iterations" plain.Engine.loop_iterations
+  let staged = Engine_staged.run plan in
+  let resumed = finished (Engine_parallel.run ~domains:2 plan) in
+  Alcotest.check Support.stats_testable "stats" staged resumed;
+  Alcotest.(check int) "loop iterations" staged.Engine.loop_iterations
     resumed.Engine.loop_iterations
 
 let test_interrupt_then_resume_byte_identical () =
   let plan = gemm_plan () in
-  let reference = Engine_parallel.run ~domains:2 plan in
+  let reference = finished (Engine_parallel.run ~domains:2 plan) in
   let reference_json =
     Stats_io.to_json (Stats_io.of_stats ~plan reference)
   in
@@ -191,7 +191,7 @@ let test_interrupt_then_resume_byte_identical () =
         if !hits = 10 then Engine_parallel.interrupt ()
       in
       let outcome =
-        Engine_parallel.run_resumable ~on_hit ~checkpoint:sink ~domains:2 plan
+        Engine_parallel.run ~on_hit ~checkpoint:sink ~domains:2 plan
       in
       let completed, total =
         match outcome with
@@ -216,7 +216,7 @@ let test_interrupt_then_resume_byte_identical () =
          must be honored and the output must be byte-identical. *)
       let resumed =
         finished
-          (Engine_parallel.run_resumable ~checkpoint:sink ~resume:ck ~domains:3
+          (Engine_parallel.run ~checkpoint:sink ~resume:ck ~domains:3
              plan)
       in
       Alcotest.(check string) "byte-identical stats JSON" reference_json
@@ -232,7 +232,7 @@ let test_resume_from_complete_checkpoint_runs_nothing () =
   let hits = ref 0 in
   let resumed =
     finished
-      (Engine_parallel.run_resumable
+      (Engine_parallel.run
          ~on_hit:(fun _ -> incr hits)
          ~resume:ck ~domains:2 plan)
   in
@@ -247,25 +247,25 @@ let test_interrupt_without_checkpoint_loses_no_invariants () =
     incr hits;
     if !hits = 5 then Engine_parallel.interrupt ()
   in
-  (match Engine_parallel.run_resumable ~on_hit ~domains:2 plan with
+  (match Engine_parallel.run ~on_hit ~domains:2 plan with
   | Engine_intf.Interrupted { completed; total } ->
     Alcotest.(check bool) "partial progress reported" true
       (completed < total)
   | Engine_intf.Finished _ -> Alcotest.fail "finished despite interrupt");
   (* The stop flag must not leak into the next run. *)
-  let next = finished (Engine_parallel.run_resumable ~domains:2 plan) in
+  let next = finished (Engine_parallel.run ~domains:2 plan) in
   Alcotest.check Support.stats_testable "next run unaffected"
-    (Engine_parallel.run ~domains:2 plan) next
+    (Engine_staged.run plan) next
 
 let test_fault_injected_crashes_recovered () =
   let plan = gemm_plan () in
-  let reference = Engine_parallel.run ~domains:2 plan in
+  let reference = finished (Engine_parallel.run ~domains:2 plan) in
   List.iter
     (fun prob ->
       let hits = ref 0 in
       let stats =
         finished
-          (Engine_parallel.run_resumable
+          (Engine_parallel.run
              ~on_hit:(fun _ -> incr hits)
              ~fault:(Run_config.Chunk_crash { prob; seed = 7 })
              ~domains:2 plan)
@@ -283,7 +283,8 @@ let test_fault_with_checkpoint_and_resume () =
      degradation story on one space. *)
   let plan = gemm_plan () in
   let reference_json =
-    Stats_io.to_json (Stats_io.of_stats ~plan (Engine_parallel.run ~domains:2 plan))
+    Stats_io.to_json
+      (Stats_io.of_stats ~plan (finished (Engine_parallel.run ~domains:2 plan)))
   in
   let path = tmp_path () in
   Fun.protect
@@ -306,7 +307,7 @@ let test_fault_with_checkpoint_and_resume () =
         if !hits = 200 then Engine_parallel.interrupt ()
       in
       (match
-         Engine_parallel.run_resumable ~on_hit ~checkpoint:sink ~fault
+         Engine_parallel.run ~on_hit ~checkpoint:sink ~fault
            ~domains:2 plan
        with
       | Engine_intf.Interrupted _ -> ()
@@ -318,7 +319,7 @@ let test_fault_with_checkpoint_and_resume () =
       in
       let resumed =
         finished
-          (Engine_parallel.run_resumable ~resume:ck ~fault ~domains:4 plan)
+          (Engine_parallel.run ~resume:ck ~fault ~domains:4 plan)
       in
       Alcotest.(check string) "byte-identical after crashes + resume"
         reference_json
@@ -328,10 +329,10 @@ let test_bad_fault_probability_rejected () =
   let plan = triangle_plan () in
   Alcotest.check_raises "prob 1.0"
     (Invalid_argument
-       "Engine_parallel.run_resumable: crash probability not in [0, 1)")
+       "Engine_parallel.run: crash probability not in [0, 1)")
     (fun () ->
       ignore
-        (Engine_parallel.run_resumable
+        (Engine_parallel.run
            ~fault:(Run_config.Chunk_crash { prob = 1.0; seed = 1 })
            ~domains:2 plan))
 

@@ -7,8 +7,8 @@ let engines_on sp =
     ("interp-hoisted", (Engine_interp.run ~variant:`Hoisted sp).Engine.survivors);
     ("vm", (Engine_vm.run_plan plan).Engine.survivors);
     ("staged", (Engine_staged.run plan).Engine.survivors);
-    ("parallel-1", (Engine_parallel.run ~domains:1 plan).Engine.survivors);
-    ("parallel-3", (Engine_parallel.run ~domains:3 plan).Engine.survivors);
+    ("parallel-1", (Support.parallel ~domains:1 plan).Engine.survivors);
+    ("parallel-3", (Support.parallel ~domains:3 plan).Engine.survivors);
   ]
 
 let check_all_engines sp =
@@ -63,10 +63,16 @@ let test_vm_staged_stats_identical () =
 let test_parallel_stats_match_sequential () =
   let plan = Plan.make_exn (Support.triangle_space ()) in
   let seq = Engine_staged.run plan in
-  let par = Engine_parallel.run ~domains:4 plan in
+  let par = Support.parallel ~domains:4 plan in
   Alcotest.(check int) "survivors" seq.Engine.survivors par.Engine.survivors;
   Alcotest.(check int) "pruned total" (Engine.total_pruned seq)
     (Engine.total_pruned par)
+
+(* The static round-robin split: one slice per domain, merged. *)
+let merged_slices ~of_ plan =
+  Engine_parallel.merge plan
+    (List.init of_ (fun index ->
+         Engine_staged.run (Plan.slice_outer plan ~index ~of_)))
 
 let test_work_stealing_matches_staged_on_gemm () =
   (* The acceptance bar for the chunked scheduler: identical totals and
@@ -84,10 +90,10 @@ let test_work_stealing_matches_staged_on_gemm () =
       Alcotest.check Support.stats_testable
         (Printf.sprintf "stealing domains=%d" domains)
         seq
-        (Engine_parallel.run ~domains plan))
-    [ 2; 3; 4 ];
+        (Support.parallel ~domains plan))
+    [ 1; 2; 3; 4 ];
   Alcotest.check Support.stats_testable "static split" seq
-    (Engine_parallel.run_static ~domains:4 plan)
+    (merged_slices ~of_:4 plan)
 
 let test_parallel_more_domains_than_trip_count () =
   (* 16 domains over an outer loop with 8 values: most static slices and
@@ -99,9 +105,9 @@ let test_parallel_more_domains_than_trip_count () =
   let plan = Plan.make_exn sp in
   let seq = Engine_staged.run plan in
   Alcotest.check Support.stats_testable "stealing" seq
-    (Engine_parallel.run ~domains:16 plan);
+    (Support.parallel ~domains:16 plan);
   Alcotest.check Support.stats_testable "static" seq
-    (Engine_parallel.run_static ~domains:16 plan)
+    (merged_slices ~of_:16 plan)
 
 let test_parallel_firing_depth0_deduped () =
   (* A depth-0 constraint that fires runs once per chunk/slice; the
@@ -113,9 +119,9 @@ let test_parallel_firing_depth0_deduped () =
   let seq = Engine_staged.run plan in
   Alcotest.(check int) "sequential survivors" 0 seq.Engine.survivors;
   Alcotest.check Support.stats_testable "stealing" seq
-    (Engine_parallel.run ~domains:4 plan);
+    (Support.parallel ~domains:4 plan);
   Alcotest.check Support.stats_testable "static" seq
-    (Engine_parallel.run_static ~domains:4 plan)
+    (merged_slices ~of_:4 plan)
 
 let test_on_hit_receives_bindings () =
   let acc = ref [] in
@@ -178,6 +184,27 @@ let test_division_by_zero_propagates () =
       ignore (Engine_staged.run_space sp));
   Alcotest.check_raises "vm raises" Division_by_zero (fun () ->
       ignore (Engine_vm.run_space sp))
+
+let test_failing_chunk_stops_siblings () =
+  (* 2 domains x 8 chunks: one x value per chunk. x = 0 divides by zero
+     at once; every other chunk delivers slow hits. Once the sweep has
+     raised, no sibling domain may still be calling on_hit. *)
+  let open Expr.Infix in
+  let sp = Space.create () in
+  Space.iterator sp "x" (Iter.range_i 0 16);
+  Space.iterator sp "y" (Iter.range_i 0 20);
+  Space.derived sp "d" (Expr.int 7 /: Expr.var "x");
+  let hits = Atomic.make 0 in
+  let on_hit _ =
+    Unix.sleepf 0.001;
+    Atomic.incr hits
+  in
+  (match Engine_parallel.run ~on_hit ~domains:2 (Plan.make_exn sp) with
+  | _ -> Alcotest.fail "sweep survived a division by zero"
+  | exception Division_by_zero -> ());
+  let at_raise = Atomic.get hits in
+  Unix.sleepf 0.05;
+  Alcotest.(check int) "no on_hit after the raise" at_raise (Atomic.get hits)
 
 let test_dynamic_algebra_iterators () =
   (* Union/intersection/filter with iterator-dependent operands exercise
@@ -355,7 +382,7 @@ let prop_work_stealing_matches_staged =
   QCheck.Test.make ~name:"work-stealing sweep reproduces staged stats"
     ~count:30 arb_space (fun descr ->
       let plan = Plan.make_exn (space_of descr) in
-      Engine_staged.run plan = Engine_parallel.run ~domains:3 plan)
+      Engine_staged.run plan = Support.parallel ~domains:3 plan)
 
 (* ---- Engine registry: name-keyed lookup behind Engine_intf.S ---- *)
 
@@ -463,6 +490,29 @@ let test_registry_resumable_only_parallel () =
       ("parallel:2", true);
     ]
 
+let test_registry_parallel_one_on_hit () =
+  (* parallel:1 runs through the chunk ledger like every domain count:
+     on_hit must still fire exactly once per survivor. *)
+  let (module E : Engine_intf.S) = find_exn "parallel:1" in
+  let sp = Support.mixed_space () in
+  let plan = Plan.make_exn sp in
+  let got = ref [] in
+  let on_hit lookup =
+    got :=
+      List.map (fun n -> (n, Value.to_int (lookup n))) plan.Plan.iter_order
+      :: !got
+  in
+  let stats = E.run ~on_hit (Engine_intf.Space sp) in
+  let expected =
+    List.map
+      (List.map (fun (n, v) -> (n, Value.to_int v)))
+      (Support.brute_force sp)
+  in
+  Alcotest.(check int) "one call per survivor" stats.Engine.survivors
+    (List.length !got);
+  Alcotest.(check bool) "same survivor set" true
+    (List.sort compare expected = List.sort compare !got)
+
 let test_registry_resumable_runs () =
   let (module E : Engine_intf.S) = find_exn "parallel:3" in
   let resumable = Option.get E.resumable in
@@ -514,6 +564,8 @@ let () =
           Alcotest.test_case "empty iterator" `Quick test_empty_iterator;
           Alcotest.test_case "division by zero" `Quick
             test_division_by_zero_propagates;
+          Alcotest.test_case "failing chunk stops siblings" `Quick
+            test_failing_chunk_stops_siblings;
         ] );
       ( "registry",
         [
@@ -531,6 +583,8 @@ let () =
             test_registry_resumable_only_parallel;
           Alcotest.test_case "resumable closure runs" `Quick
             test_registry_resumable_runs;
+          Alcotest.test_case "parallel:1 on_hit exactly once" `Quick
+            test_registry_parallel_one_on_hit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -44,7 +44,7 @@ let test_gemm_engines_agree () =
      (~10^8 points even at this scale) - exactly the pathology the
      paper's hoisting removes - so it is exercised on the small spaces of
      test_engines instead. *)
-  let par = Engine_parallel.run ~domains:3 plan in
+  let par = Support.parallel ~domains:3 plan in
   Alcotest.(check bool) "nonempty" true (staged.Engine.survivors > 0);
   Alcotest.(check int) "vm" staged.Engine.survivors vm.Engine.survivors;
   Alcotest.(check int) "interp" staged.Engine.survivors interp.Engine.survivors;

@@ -225,9 +225,9 @@ let test_stats_identical_with_status_sharded () =
   let plan = triangle_plan () in
   let shard = { Stats_io.shard_index = 1; shard_of = 3 } in
   let sharded = Plan.chunk_outer plan ~index:1 ~of_:3 in
-  let plain = Engine_parallel.run ~domains:2 sharded in
+  let plain = Support.parallel ~domains:2 sharded in
   let instrumented = run_with_introspection ~plan:sharded ~runner:(fun () ->
-      Engine_parallel.run ~domains:2 sharded)
+      Support.parallel ~domains:2 sharded)
   in
   Alcotest.(check string) "sharded parallel stats byte-identical"
     (stats_json ~shard sharded plain)
@@ -314,7 +314,7 @@ let crashed_flight_dump plan =
           (match
              Run_config.with_instrumentation ~run_id:"feedc0ffee12"
                ~space:plan.Plan.space_name cfg (fun () ->
-                 Engine_parallel.run_resumable
+                 Engine_parallel.run
                    ~fault:(Run_config.Chunk_fatal { chunk = 1 })
                    ~domains:1 plan)
            with
