@@ -422,6 +422,15 @@ let with_config ?space ?engine cfg f =
     finalize_manifest 2;
     Format.eprintf "beast: %s@." msg;
     exit 2
+  | exception ((Division_by_zero | Expr.Eval_error _) as e) ->
+    (* The space itself cannot be evaluated (a division by zero, a zero
+       range step): a user-input error, not an internal one. *)
+    finalize_manifest 2;
+    Format.eprintf "beast: evaluation error: %s@."
+      (match e with
+      | Expr.Eval_error msg -> msg
+      | _ -> "division by zero");
+    exit 2
   | exception e ->
     (* Cmdliner maps an uncaught exception to its internal-error code. *)
     finalize_manifest 125;

@@ -7,8 +7,9 @@
    steps are compiled by a second, instrumented compiler that also
    counts per-depth loop entries, accumulates per-constraint evaluation
    time and samples throughput; the choice is made once per run, at
-   compile time, so the uninstrumented closures are exactly the ones the
-   seed build produced.
+   compile time, so the uninstrumented closures carry no observation
+   cost. Only the uninstrumented chain solves loops (Plan.solved_loop);
+   the instrumented ones iterate every value they attribute.
 
    An installed Metrics registry selects the same instrumented compiler
    and additionally feeds each constraint evaluation into a per-domain
@@ -124,6 +125,24 @@ let run ?on_hit (plan : Plan.t) =
         incr survivors;
         f lookup
   in
+  (* Visit range(start, stop, step) in [slot], running [body] per value. *)
+  let iterate slot start stop step body =
+    let i = ref start in
+    if step > 0 then
+      while !i < stop do
+        slots.(slot) <- !i;
+        incr loop_iterations;
+        body ();
+        i := !i + step
+      done
+    else
+      while !i > stop do
+        slots.(slot) <- !i;
+        incr loop_iterations;
+        body ();
+        i := !i + step
+      done
+  in
   let rec compile_steps (steps : Plan.step list) : unit -> unit =
     match steps with
     | [] -> fun () -> ()
@@ -155,49 +174,75 @@ let run ?on_hit (plan : Plan.t) =
         loop_iterations := !loop_iterations + n;
         Array.iter (fun (c, m) -> pruned.(c) <- pruned.(c) + m) counts;
         k ()
-    | Loop { l_var; l_slot; l_iter; l_body; _ } :: rest -> (
-      let body = compile_steps l_body in
+    | (Loop { l_var; l_slot; l_iter; l_body } as loop) :: rest -> (
       let k = compile_steps rest in
-      match l_iter with
-      | CRange (a, b, c) ->
-        let fa = compile_cexpr a and fb = compile_cexpr b and fc = compile_cexpr c in
-        fun () ->
-          let stop = fb () and step = fc () in
-          if step = 0 then
-            raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var));
-          let i = ref (fa ()) in
-          if step > 0 then
-            while !i < stop do
-              slots.(l_slot) <- !i;
-              incr loop_iterations;
-              body ();
-              i := !i + step
-            done
-          else
-            while !i > stop do
-              slots.(l_slot) <- !i;
-              incr loop_iterations;
-              body ();
-              i := !i + step
-            done;
-          k ()
-      | CValues vs ->
-        fun () ->
-          for j = 0 to Array.length vs - 1 do
-            slots.(l_slot) <- vs.(j);
-            incr loop_iterations;
-            body ()
-          done;
-          k ()
-      | CDyn materialize ->
-        fun () ->
-          let vs = materialize slots in
-          for j = 0 to Array.length vs - 1 do
-            slots.(l_slot) <- vs.(j);
-            incr loop_iterations;
-            body ()
-          done;
-          k ())
+      match (l_iter, Plan.solved_loop loop) with
+      | CRange (a, b, c), Some sv ->
+        compile_solved l_var l_slot (a, b, c) sv (compile_steps sv.sv_rest) k
+      | _ -> compile_loop l_var l_slot l_iter (compile_steps l_body) k)
+  (* Solved loop (Plan.solved_loop): the first body step is
+     [x*m != r], so at most [r/m] reaches the rest of the body. Each
+     entry evaluates [m] and [r] once and jumps to that value; the
+     values it skips are accounted as entered and fired, as Static_prune
+     compensation does. An entry with trip count 0 evaluates neither, as
+     the unsolved loop would not. *)
+  and compile_solved l_var l_slot (a, b, c) (sv : Plan.solved) rest k =
+    let fa = compile_cexpr a and fb = compile_cexpr b and fc = compile_cexpr c in
+    let fm = compile_cexpr sv.sv_coeff and fr = compile_cexpr sv.sv_target in
+    let check = sv.sv_check in
+    let visit () =
+      if slots.(l_slot) * fm () <> fr () then
+        pruned.(check) <- pruned.(check) + 1
+      else rest ()
+    in
+    fun () ->
+      let stop = fb () and step = fc () in
+      if step = 0 then
+        raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var));
+      let start = fa () in
+      if if step > 0 then start < stop else start > stop then begin
+        let coeff = fm () and target = fr () in
+        match Plan.solve_range ~start ~stop ~step ~coeff ~target with
+        | Miss ->
+          let trip = Plan.trip_count ~start ~stop ~step in
+          loop_iterations := !loop_iterations + trip;
+          pruned.(check) <- pruned.(check) + trip
+        | Hit ->
+          let trip = Plan.trip_count ~start ~stop ~step in
+          loop_iterations := !loop_iterations + trip;
+          pruned.(check) <- pruned.(check) + trip - 1;
+          slots.(l_slot) <- target / coeff;
+          rest ()
+        | Iterate -> iterate l_slot start stop step visit
+      end;
+      k ()
+  and compile_loop l_var l_slot l_iter body k =
+    match l_iter with
+    | CRange (a, b, c) ->
+      let fa = compile_cexpr a and fb = compile_cexpr b and fc = compile_cexpr c in
+      fun () ->
+        let stop = fb () and step = fc () in
+        if step = 0 then
+          raise (Expr.Eval_error (Printf.sprintf "%s: zero range step" l_var));
+        iterate l_slot (fa ()) stop step body;
+        k ()
+    | CValues vs ->
+      fun () ->
+        for j = 0 to Array.length vs - 1 do
+          slots.(l_slot) <- vs.(j);
+          incr loop_iterations;
+          body ()
+        done;
+        k ()
+    | CDyn materialize ->
+      fun () ->
+        let vs = materialize slots in
+        for j = 0 to Array.length vs - 1 do
+          slots.(l_slot) <- vs.(j);
+          incr loop_iterations;
+          body ()
+        done;
+        k ()
   in
   (* Instrumented compiler: same continuation chain, with per-depth
      entry counts, per-level cumulative time, per-constraint evaluation

@@ -447,6 +447,70 @@ let trip_count ~start ~stop ~step =
   else if step > 0 then max 0 ((stop - start + step - 1) / step)
   else max 0 ((start - stop - step - 1) / -step)
 
+(* ------------------------------------------------------------------ *)
+(* Solved loops                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type solved = {
+  sv_check : int;
+  sv_coeff : cexpr;
+  sv_target : cexpr;
+  sv_rest : step list;
+}
+
+let solved_loop = function
+  | Loop
+      {
+        l_slot = x;
+        l_iter = CRange _;
+        l_body = Check { c_index; c_compute = CE (CBin (Ne, a, b)); _ } :: rest;
+        _;
+      } ->
+    let free e = not (List.mem x (cexpr_slots e)) in
+    (* [x], [x*m] or [m*x] on one side, an [x]-free target on the other. *)
+    let linear = function
+      | CSlot s when s = x -> Some (CLit 1)
+      | CBin (Mul, CSlot s, m) when s = x && free m -> Some m
+      | CBin (Mul, m, CSlot s) when s = x && free m -> Some m
+      | _ -> None
+    in
+    let solve lhs r =
+      match linear lhs with
+      | Some m when free r ->
+        Some { sv_check = c_index; sv_coeff = m; sv_target = r; sv_rest = rest }
+      | _ -> None
+    in
+    (match solve a b with Some _ as s -> s | None -> solve b a)
+  | _ -> None
+
+type solution =
+  | Iterate
+  | Miss
+  | Hit
+
+(* Range bounds within max_int / 4 keep [trip_count]'s intermediate sums
+   in range; |coeff| * max(|start|, |stop|) <= max_int keeps every
+   [x * coeff] over the range exact, so [x * coeff = target] has at most
+   the one integer solution [target / coeff]. Allocation-free: engines
+   call it once per loop entry. *)
+let solve_range ~start ~stop ~step ~coeff ~target =
+  let limit = max_int / 4 in
+  if coeff = 0 || step = 0
+     || start < -limit || start > limit
+     || stop < -limit || stop > limit
+     || step < -limit || step > limit
+  then Iterate
+  else
+    let exact = max_int / max 1 (max (abs start) (abs stop)) in
+    if coeff > exact || coeff < -exact then Iterate
+    else if target mod coeff <> 0 then Miss
+    else
+      let x = target / coeff in
+      if step > 0 then
+        if start <= x && x < stop && (x - start) mod step = 0 then Hit else Miss
+      else if stop < x && x <= start && (start - x) mod step = 0 then Hit
+      else Miss
+
 (* Block [index] of [of_] over a trip sequence of length [len]:
    positions [index*len/of_, (index+1)*len/of_). Adjacent blocks tile
    the sequence exactly and differ in size by at most one. *)

@@ -191,5 +191,43 @@ val trip_count : start:int -> stop:int -> step:int -> int
     shared by the engines, {!chunk_outer} and the provenance
     attribution, so subtree cardinalities agree everywhere. *)
 
+(** {2 Solved loops}
+
+    A loop whose first body step is the check [x*m != r] (also [m*x],
+    [x], and either side of the [!=]) over its own slot [x], with [m]
+    and [r] not reading [x], lets through at most one value of [x] per
+    entry: [r/m], when [m] divides [r] and [r/m] lies on the range.
+    An engine can jump to that value instead of entering every other
+    one only to fire the check, and account the skipped values the way
+    {!Static_prune} compensation does: [trip] loop iterations and
+    [trip - hits] firings of the check. *)
+
+type solved = {
+  sv_check : int;  (** [c_index] of the solved check *)
+  sv_coeff : cexpr;  (** [m] ([CLit 1] for a bare [x != r]) *)
+  sv_target : cexpr;  (** [r] *)
+  sv_rest : step list;  (** the loop body after the check *)
+}
+
+val solved_loop : step -> solved option
+(** [Some] for a [Loop] over a [CRange] whose first body step is an
+    expression-bodied [Check] of one of the shapes above; [None] for any
+    other step, for [CValues]/[CDyn] loops, and when [m] or [r] reads
+    the loop slot. *)
+
+type solution =
+  | Iterate
+      (** [m = 0], or a product [x*m] over the range might wrap (or the
+          range bounds are too large for an exact {!trip_count}):
+          iterate and evaluate the check per value *)
+  | Miss  (** the check fires for every value of the range *)
+  | Hit  (** the check lets exactly [target / coeff] through *)
+
+val solve_range :
+  start:int -> stop:int -> step:int -> coeff:int -> target:int -> solution
+(** Solve [x * coeff != target] over [range(start, stop, step)]. Unless
+    the result is [Iterate], {!trip_count} of the range is exact. Does
+    not allocate. *)
+
 val pp : Format.formatter -> t -> unit
 (** Pseudo-code dump of the nest, for inspection and golden tests. *)

@@ -1,7 +1,8 @@
 (* The beast CLI: every space-taking subcommand must render --help
    without a cmdliner markup error (cmdliner prints such errors and
    still exits 0, so the output is checked too), and bad codegen input
-   is a one-line diagnostic with exit 2. *)
+   and spaces that fail to evaluate are one-line diagnostics with exit
+   2. *)
 
 let beast =
   List.fold_left Filename.concat
@@ -59,6 +60,59 @@ let test_codegen_usage_error args fragment () =
     (String.index_opt err '\n' = Some (String.length err - 1)
     && contains err fragment)
 
+(* Write [lines] to a temporary .beast file for the duration of [f]. *)
+let with_space lines f =
+  let path = Filename.temp_file "beast_cli" ".beast" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      f path)
+
+(* [big] divides by [a] = 0 on the first point. *)
+let div_by_zero_space =
+  [
+    "space div0";
+    "iter a = range(0, 3)";
+    "iter b = range(0, 3)";
+    "constraint hard big = 10 / a > b";
+  ]
+
+(* [pick] is the first step of the [b] loop, so the staged engine solves
+   it, evaluating its coefficient [6 / a] once per entry of the loop:
+   with [a] = 0 the entry has two values when [b_stop] is 2 and none
+   when it is [2 * a]. *)
+let solved_div_space b_stop =
+  [
+    "space solved_div0";
+    "iter a = range(0, 3)";
+    "iter b = range(a, " ^ b_stop ^ ")";
+    "constraint correctness pick = b * (6 / a) != 6";
+  ]
+
+let test_eval_error lines engine () =
+  with_space lines (fun path ->
+      let rc, out, err = beast_run [ "sweep"; path; "--engine"; engine ] in
+      Alcotest.(check int) (engine ^ " exit status") 2 rc;
+      Alcotest.(check string) (engine ^ " prints no statistics") "" out;
+      Alcotest.(check string)
+        (engine ^ " diagnostic")
+        "beast: evaluation error: division by zero\n" err)
+
+let test_solved_trip0_skips_coefficient engine () =
+  (* a = 0 opens b over range(0, 0): the coefficient is never evaluated,
+     as an unsolved loop would never evaluate the check. a = 1 and a = 2
+     keep b = 1 and b = 2. *)
+  with_space (solved_div_space "2 * a") (fun path ->
+      let rc, out, _ = beast_run [ "sweep"; path; "--engine"; engine ] in
+      Alcotest.(check int) (engine ^ " exit status") 0 rc;
+      Alcotest.(check bool)
+        (engine ^ " reports two survivors")
+        true (contains out "survivors: 2"))
+
+let ocaml_engines = [ "interp-naive"; "interp"; "vm"; "staged"; "parallel:2" ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -80,4 +134,19 @@ let () =
                [ "gemm"; "--lang"; "python"; "--threads"; "4" ]
                "--threads applies to --lang c only");
         ] );
+      ( "eval-error",
+        List.map
+          (fun e ->
+            Alcotest.test_case e `Quick (test_eval_error div_by_zero_space e))
+          ocaml_engines
+        @ List.map
+            (fun e ->
+              Alcotest.test_case ("solved coefficient, " ^ e) `Quick
+                (test_eval_error (solved_div_space "2") e))
+            [ "vm"; "staged" ]
+        @ List.map
+            (fun e ->
+              Alcotest.test_case ("solved coefficient, trip 0, " ^ e) `Quick
+                (test_solved_trip0_skips_coefficient e))
+            [ "vm"; "staged" ] );
     ]

@@ -384,6 +384,238 @@ let prop_work_stealing_matches_staged =
       let plan = Plan.make_exn (space_of descr) in
       Engine_staged.run plan = Support.parallel ~domains:3 plan)
 
+(* ---- Solved loops: staged jumps to the one value a first-step
+   [x*m != r] check lets through; everything observable must match the
+   engines that iterate ---- *)
+
+(* Every field of the stats, loop iterations included. *)
+let same_stats what (a : Engine.stats) (b : Engine.stats) =
+  Alcotest.(check int) (what ^ ": survivors") a.survivors b.survivors;
+  Alcotest.(check int)
+    (what ^ ": loop iterations") a.loop_iterations b.loop_iterations;
+  Alcotest.(check (array (triple string pass int)))
+    (what ^ ": fired") a.pruned b.pruned
+
+(* The on_hit sequence as iterator bindings, in delivery order. *)
+let hits (run : ?on_hit:Engine.on_hit -> Plan.t -> Engine.stats)
+    (plan : Plan.t) =
+  let got = ref [] in
+  let on_hit lookup =
+    got :=
+      List.map (fun n -> Value.to_int (lookup n)) plan.Plan.iter_order :: !got
+  in
+  let stats = run ~on_hit plan in
+  (stats, List.rev !got)
+
+let rec has_solved_loop steps =
+  List.exists
+    (fun step ->
+      Plan.solved_loop step <> None
+      || match step with Plan.Loop { l_body; _ } -> has_solved_loop l_body | _ -> false)
+    steps
+
+(* Spaces whose [x] loop opens with a solvable check over an outer [a]:
+   positive and negative steps, bounds that empty the loop for some [a],
+   zero, negative and near-max_int coefficients (those wrap, so the
+   engine must fall back to iterating), targets that the coefficient
+   does not divide or that land off the stride or outside the range,
+   and optionally a second check after the solved one and a loop below. *)
+let gen_solved_space =
+  let open QCheck.Gen in
+  let open Expr.Infix in
+  let a = Expr.var "a" and x = Expr.var "x" in
+  let small = int_range (-6) 6 in
+  let gen_bound =
+    oneof
+      [
+        map Expr.int small;
+        map (fun k -> a +: Expr.int k) small;
+        map (fun k -> a *: Expr.int k) (int_range (-2) 2);
+      ]
+  in
+  let gen_coeff =
+    frequency
+      [
+        (2, map Expr.int (int_range (-3) 3));
+        (1, return a);
+        (1, map (fun k -> a -: Expr.int k) (int_range (-2) 2));
+        (1, return (Expr.int 0 -: a));
+        (2, map (fun k -> Expr.int (max_int - k) -: a) (int_range 0 2));
+        (2, map (fun k -> Expr.int (min_int / 2) +: a *: Expr.int k) (int_range 1 2));
+      ]
+  in
+  let gen_target coeff =
+    frequency
+      [
+        (1, map Expr.int (int_range (-12) 12));
+        (1, map (fun k -> a *: Expr.int k) (int_range (-3) 3));
+        (1, map (fun k -> a +: Expr.int k) small);
+        (* exact (possibly wrapped) multiples of the coefficient *)
+        (3, map (fun k -> coeff *: Expr.int k) (int_range (-3) 3));
+        (1, map (fun k -> Expr.int (max_int - k)) (int_range 0 3));
+      ]
+  in
+  int_range (-3) 2 >>= fun a_start ->
+  int_range 0 4 >>= fun a_len ->
+  gen_bound >>= fun x_start ->
+  gen_bound >>= fun x_stop ->
+  oneofl [ 1; 2; 3; -1; -2; -3 ] >>= fun x_step ->
+  gen_coeff >>= fun coeff ->
+  gen_target coeff >>= fun target ->
+  oneofl [ x *: coeff; coeff *: x; x ] >>= fun lhs ->
+  bool >>= fun flipped ->
+  bool >>= fun second ->
+  bool >>= fun below ->
+  let solvable = if flipped then target <>: lhs else lhs <>: target in
+  return (a_start, a_len, x_start, x_stop, x_step, solvable, second, below)
+
+let solved_space (a_start, a_len, x_start, x_stop, x_step, solvable, second, below) =
+  let open Expr.Infix in
+  let sp = Space.create ~name:"solved" () in
+  Space.iterator sp "a" (Iter.range_i a_start (a_start + a_len));
+  Space.iterator sp "x" (Iter.range ~step:(Expr.int x_step) x_start x_stop);
+  Space.constrain sp ~cls:Space.Correctness "solved" solvable;
+  if second then
+    Space.constrain sp "second"
+      ((Expr.var "x" -: Expr.var "a") %: Expr.int 3 =: Expr.int 1);
+  if below then begin
+    Space.iterator sp "y" (Iter.range_i 0 3);
+    Space.constrain sp ~cls:Space.Soft "below"
+      (Expr.var "y" +: Expr.var "x" =: Expr.int 2)
+  end;
+  sp
+
+let arb_solved_space =
+  QCheck.make
+    ~print:(fun (a0, al, xs, xe, st, e, second, below) ->
+      Printf.sprintf "a in range(%d, %d); x in range(%s, %s, %d); %s%s%s" a0
+        (a0 + al) (Expr.to_string xs) (Expr.to_string xe) st (Expr.to_string e)
+        (if second then "; second" else "")
+        (if below then "; below" else ""))
+    gen_solved_space
+
+let prop_solved_loops_exact =
+  QCheck.Test.make ~name:"solved loops: staged = interp = vm, hits in order"
+    ~count:500 arb_solved_space (fun descr ->
+      let sp = solved_space descr in
+      let plans =
+        let plan = Plan.make_exn sp in
+        [ plan; Plan.optimize ~passes:[ Propagate.pass ] plan ]
+      in
+      List.iter
+        (fun plan ->
+          let reference, ref_hits = hits Engine_interp.run_plan plan in
+          let staged, staged_hits = hits Engine_staged.run plan in
+          same_stats "staged vs interp" reference staged;
+          same_stats "vm vs interp" reference (Engine_vm.run_plan plan);
+          Alcotest.(check (list (list int))) "on_hit sequence" ref_hits staged_hits)
+        plans;
+      true)
+
+let test_solved_generator_solves () =
+  (* The property above is only worth something if the staged engine
+     really takes the solved path on the generated plans. *)
+  let rand = Random.State.make [| 15 |] in
+  let solved = ref 0 in
+  for _ = 1 to 200 do
+    let plan = Plan.make_exn (solved_space (gen_solved_space rand)) in
+    if has_solved_loop plan.Plan.steps then incr solved
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 200 generated plans have a solved loop" !solved)
+    true (!solved >= 190)
+
+let test_solved_fallbacks_iterate () =
+  (* Where solving would not be exact the solved loop must iterate like
+     an unsolved one: the trip formula overflows on a range visiting
+     -2^61 and 0, and x * (max_int - 1) wraps onto 2 * (max_int - 1)
+     at x = 2, a value the quotient does not name. *)
+  let open Expr.Infix in
+  let check what ~iter ~constraint_ ~iterations =
+    let sp = Space.create () in
+    Space.iterator sp "x" iter;
+    Space.constrain sp "c" constraint_;
+    let plan = Plan.make_exn sp in
+    Alcotest.(check bool) (what ^ ": x loop is solved") true
+      (has_solved_loop plan.Plan.steps);
+    same_stats what
+      { Engine.survivors = 1; loop_iterations = iterations;
+        pruned = [| ("c", Space.Hard, iterations - 1) |] }
+      (Engine_staged.run plan)
+  in
+  let big = 1 lsl 61 and m = Expr.int (max_int - 1) in
+  check "huge range"
+    ~iter:(Iter.range ~step:(Expr.int big) (Expr.int (-big)) (Expr.int big))
+    ~constraint_:(Expr.var "x" <>: Expr.int 0) ~iterations:2;
+  check "wrapping product" ~iter:(Iter.range_i 0 4)
+    ~constraint_:(Expr.var "x" *: m <>: Expr.int 2 *: m) ~iterations:4
+
+let test_solved_outer_loop_chunks () =
+  (* A solved outermost loop is what the chunked sweep and shards cut:
+     each chunk solves its own block, and the merged stats must equal
+     the sequential run, which only the chunk holding x = 12 hits. *)
+  let open Expr.Infix in
+  let sp = Space.create () in
+  Space.iterator sp "x" (Iter.range_i 0 20);
+  Space.iterator sp "y" (Iter.range_i 0 3);
+  Space.constrain sp "pick" (Expr.var "x" *: Expr.int 3 <>: Expr.int 36);
+  let plan = Plan.make_exn sp in
+  Alcotest.(check bool) "x loop is solved" true
+    (match plan.Plan.steps with
+    | [ step ] -> Plan.solved_loop step <> None
+    | _ -> false);
+  let seq = Engine_staged.run plan in
+  same_stats "sequential"
+    { Engine.survivors = 3; loop_iterations = 23; pruned = [| ("pick", Space.Hard, 19) |] }
+    seq;
+  same_stats "parallel:3" seq (Support.parallel ~domains:3 plan);
+  same_stats "5 chunks" seq
+    (Engine_parallel.merge plan
+       (List.init 5 (fun index ->
+            Engine_staged.run (Plan.chunk_outer plan ~index ~of_:5))))
+
+let test_solved_loops_gemm_stats_io () =
+  (* Byte-identical --stats-out between staged and vm over every GEMM
+     case: 4 devices x 2 precisions x 2 arithmetics x 4 transpositions. *)
+  let open Beast_gpu in
+  let json plan stats = Stats_io.to_json (Stats_io.of_stats ~plan stats) in
+  List.iter
+    (fun device ->
+      let device = Device.scale ~max_dim:16 ~max_threads:64 device in
+      List.iter
+        (fun (precision, arithmetic, trans_a, trans_b) ->
+          let settings =
+            { Beast_kernels.Gemm.device; precision; arithmetic; trans_a; trans_b }
+          in
+          let plan = Plan.make_exn (Beast_kernels.Gemm.space ~settings ()) in
+          let run_plan = Plan.optimize ~passes:[ Propagate.pass ] plan in
+          let what =
+            Printf.sprintf "%s %s %s %b %b" device.Device.name
+              (Device.precision_name precision)
+              (Device.arithmetic_name arithmetic)
+              trans_a trans_b
+          in
+          Alcotest.(check bool) (what ^ ": has solved loops") true
+            (has_solved_loop run_plan.Plan.steps);
+          Alcotest.(check string) what
+            (json plan (Engine_vm.run_plan run_plan))
+            (json plan (Engine_staged.run run_plan)))
+        (List.concat_map
+           (fun p ->
+             List.concat_map
+               (fun ar ->
+                 List.concat_map
+                   (fun ta -> List.map (fun tb -> (p, ar, ta, tb)) [ false; true ])
+                   [ false; true ])
+               [ Device.Real; Device.Complex ])
+           [ Device.Single; Device.Double ]))
+    [
+      Device.tesla_k40c;
+      Device.geforce_gtx680;
+      Device.tesla_c2050;
+      Device.geforce_gtx750ti;
+    ]
+
 (* ---- Engine registry: name-keyed lookup behind Engine_intf.S ---- *)
 
 let find_exn spec =
@@ -566,6 +798,20 @@ let () =
             test_division_by_zero_propagates;
           Alcotest.test_case "failing chunk stops siblings" `Quick
             test_failing_chunk_stops_siblings;
+        ] );
+      ( "solved",
+        [
+          Alcotest.test_case "generator exercises the solved path" `Quick
+            test_solved_generator_solves;
+          Alcotest.test_case "unsafe ranges fall back to iterating" `Quick
+            test_solved_fallbacks_iterate;
+          Alcotest.test_case "solved outer loop across chunks" `Quick
+            test_solved_outer_loop_chunks;
+          Alcotest.test_case "GEMM stats files staged = vm" `Quick
+            test_solved_loops_gemm_stats_io;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 15 |])
+            prop_solved_loops_exact;
         ] );
       ( "registry",
         [

@@ -296,6 +296,143 @@ let test_pp_smoke () =
   let s = Format.asprintf "%a" Plan.pp p in
   Alcotest.(check bool) "mentions loops" true (String.length s > 40)
 
+(* ---- Solved loops ---- *)
+
+(* A loop over slot 1 ([x]) whose body is [steps]; slot 0 plays [m] and
+   slot 2 plays [r]. *)
+let x = Plan.CSlot 1
+and m = Plan.CSlot 0
+and r = Plan.CSlot 2
+
+let check ?(index = 3) e =
+  Plan.Check
+    { c_name = "c"; c_class = Space.Correctness; c_index = index; c_compute = CE e }
+
+let loop ?(iter = Plan.CRange (CLit 0, CLit 10, CLit 1)) body =
+  Plan.Loop { l_var = "x"; l_slot = 1; l_iter = iter; l_body = body }
+
+let ne a b = Plan.CBin (Expr.Ne, a, b)
+let mul a b = Plan.CBin (Expr.Mul, a, b)
+
+let test_solved_loop_accepts () =
+  let rest = [ check ~index:4 (ne x r); Plan.Yield ] in
+  List.iter
+    (fun (what, e, coeff) ->
+      match Plan.solved_loop (loop (check e :: rest)) with
+      | None -> Alcotest.failf "%s not recognized" what
+      | Some sv ->
+        Alcotest.(check int) (what ^ ": check index") 3 sv.Plan.sv_check;
+        Alcotest.(check bool) (what ^ ": coefficient") true (sv.sv_coeff = coeff);
+        Alcotest.(check bool) (what ^ ": target") true (sv.sv_target = r);
+        Alcotest.(check bool) (what ^ ": rest of body") true (sv.sv_rest = rest))
+    [
+      ("x*m != r", ne (mul x m) r, m);
+      ("m*x != r", ne (mul m x) r, m);
+      ("r != x*m", ne r (mul x m), m);
+      ("r != m*x", ne r (mul m x), m);
+      ("x != r", ne x r, Plan.CLit 1);
+      ("r != x", ne r x, Plan.CLit 1);
+    ]
+
+let test_solved_loop_rejects () =
+  let rejected what step =
+    Alcotest.(check bool) what true (Plan.solved_loop step = None)
+  in
+  let solvable = check (ne (mul x m) r) in
+  rejected "check after a derive"
+    (loop
+       [ Plan.Derive { d_name = "d"; d_slot = 5; d_compute = CE m }; solvable ]);
+  rejected "check after another check" (loop [ check (ne x x); solvable ]);
+  rejected "coefficient reads the slot"
+    (loop [ check (ne (mul x (Plan.CBin (Expr.Add, x, m))) r) ]);
+  rejected "target reads the slot"
+    (loop [ check (ne (mul x m) (Plan.CBin (Expr.Sub, r, x))) ]);
+  rejected "x != x" (loop [ check (ne x x) ]);
+  rejected "values loop" (loop ~iter:(Plan.CValues [| 1; 2 |]) [ solvable ]);
+  rejected "dynamic loop"
+    (loop ~iter:(Plan.CDyn (fun _ -> [| 1 |])) [ solvable ]);
+  rejected "=="
+    (loop [ check (Plan.CBin (Expr.Eq, mul x m, r)) ]);
+  rejected "<" (loop [ check (Plan.CBin (Expr.Lt, mul x m, r)) ]);
+  (* cant_reshape_a2's shape: ((blk_m % (x * dim_vec)) != 0) || ... *)
+  rejected "|| compound"
+    (loop
+       [
+         check
+           (Plan.CBin
+              ( Expr.Or,
+                ne (Plan.CBin (Expr.Mod, r, mul x m)) (CLit 0),
+                ne (Plan.CBin (Expr.Mod, m, x)) (CLit 0) ));
+       ]);
+  rejected "opaque check"
+    (loop
+       [
+         Plan.Check
+           { c_name = "f"; c_class = Space.Hard; c_index = 0;
+             c_compute = CF (fun _ -> 0) };
+       ]);
+  rejected "empty body" (loop []);
+  rejected "not a loop" solvable
+
+let test_solved_loops_in_gemm () =
+  (* Figure 15's cant_reshape_a1/b1 open the dim_n_a / dim_n_b bodies;
+     no other GEMM loop starts with a solvable check. *)
+  let device =
+    Beast_gpu.Device.scale ~max_dim:16 ~max_threads:64
+      Beast_gpu.Device.tesla_k40c
+  in
+  let settings = { Beast_kernels.Gemm.default_settings with device } in
+  let p = plan_of (Beast_kernels.Gemm.space ~settings ()) in
+  let rec solved acc steps =
+    List.fold_left
+      (fun acc step ->
+        match step with
+        | Plan.Loop { l_var; l_body; _ } ->
+          let acc =
+            match Plan.solved_loop step with
+            | Some sv -> (l_var, fst p.Plan.constraint_info.(sv.Plan.sv_check)) :: acc
+            | None -> acc
+          in
+          solved acc l_body
+        | _ -> acc)
+      acc steps
+  in
+  Alcotest.(check (list (pair string string)))
+    "solved loops"
+    [ ("dim_n_a", "cant_reshape_a1"); ("dim_n_b", "cant_reshape_b1") ]
+    (List.rev (solved [] p.Plan.steps))
+
+let test_solve_range () =
+  let solution =
+    Alcotest.testable
+      (fun ppf -> function
+        | Plan.Iterate -> Format.pp_print_string ppf "Iterate"
+        | Miss -> Format.pp_print_string ppf "Miss"
+        | Hit -> Format.pp_print_string ppf "Hit")
+      ( = )
+  in
+  let case what expected (start, stop, step) coeff target =
+    Alcotest.check solution what expected
+      (Plan.solve_range ~start ~stop ~step ~coeff ~target)
+  in
+  case "hit" Hit (1, 9, 1) 3 12;
+  case "negative coefficient" Hit (1, 9, 1) (-3) (-12);
+  case "not divisible" Miss (1, 9, 1) 5 12;
+  case "past the stop" Miss (1, 4, 1) 3 12;
+  case "before the start" Miss (5, 9, 1) 3 12;
+  case "off the stride" Miss (1, 9, 2) 3 12;
+  case "on the stride" Hit (1, 9, 2) 3 15;
+  case "negative step" Hit (10, 0, -3) 2 8;
+  case "negative step, off the stride" Miss (10, 0, -3) 2 10;
+  case "negative step, stop excluded" Miss (10, 4, -3) 2 8;
+  case "zero coefficient" Iterate (1, 9, 1) 0 0;
+  case "product may wrap" Iterate (1, 9, 1) (max_int / 4) 12;
+  case "negative product may wrap" Iterate (-9, 9, 1) (min_int / 4) 12;
+  case "largest exact coefficient" Miss (1, 9, 1) (max_int / 9) 12;
+  case "huge range" Iterate (0, max_int, 1) 1 12;
+  case "min_int coefficient" Iterate (1, 9, 1) min_int 0;
+  case "min_int target" Miss (1, 9, 1) (-1) min_int
+
 let () =
   Alcotest.run "plan"
     [
@@ -344,5 +481,15 @@ let () =
             test_chunk_outer_dependent_bounds;
           Alcotest.test_case "depth0 constraint mask" `Quick
             test_depth0_constraints_mask;
+        ] );
+      ( "solved",
+        [
+          Alcotest.test_case "accepts every operand order" `Quick
+            test_solved_loop_accepts;
+          Alcotest.test_case "rejects other shapes" `Quick
+            test_solved_loop_rejects;
+          Alcotest.test_case "GEMM's solvable loops" `Quick
+            test_solved_loops_in_gemm;
+          Alcotest.test_case "solve_range" `Quick test_solve_range;
         ] );
     ]
